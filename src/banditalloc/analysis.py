@@ -389,5 +389,5 @@ class CoverageObserver:
 
     def __call__(self, t: int, emp_means: np.ndarray, radii: np.ndarray) -> None:
         self.rounds += 1
-        if bool(np.any(np.abs(emp_means - self._mu) >= radii)):
+        if (np.abs(emp_means - self._mu) >= radii).any():
             self.count += 1

@@ -1,12 +1,21 @@
 """Optimistic allocation learner over (resource, budget-level) base arms.
 
 Each round t the learner inflates every arm's empirical mean by the
-confidence radius sqrt(3 ln t / (2 count)), clamps the result into [0, 1]
-(untried arms get the clamp value 1, so each level is explored before the
-radii mean anything), asks the offline solver for the best allocation under
-those optimistic values, plays it, and folds the observed per-resource
-rewards back into the statistics (semi-bandit feedback: one observation per
-resource per round, not one per round).
+confidence radius sqrt(3 ln t / (2 count)), clamps the result into [0, 1],
+asks the offline solver for the best allocation under those optimistic
+values, plays it, and folds the observed per-resource rewards back into the
+statistics (semi-bandit feedback: one observation per resource per round, not
+one per round).
+
+Untried arms have an infinite radius, so their optimistic value is the clamp
+value 1. That does not make every arm get pulled: a tried arm whose clamped
+value is also 1 ties with an untried one, and the solver's tie-break (fewest
+budget units, then the lowest levels) can keep choosing the tried arm. On
+the 3x4 reference instance of the acceptance tests (reward seed 7, 50,000
+rounds) the second resource's level-0 arm has mean 0.979, its optimistic
+value sits at 1, and its top level is never pulled: that resource's level
+counts end at [49958, 22, 20, 0]. There is no initial round-robin over the
+arms.
 """
 
 from __future__ import annotations

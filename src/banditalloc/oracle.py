@@ -19,6 +19,9 @@ from .core import Allocation, ProblemConfig
 # unit total gets near it, small enough that adding level costs cannot wrap.
 _UNITS_SENTINEL = np.int64(1) << 40
 
+# Success coins CoinFlipOracle draws per refill of its buffer.
+_COIN_BLOCK = 1024
+
 
 @dataclass(frozen=True)
 class OracleSpec:
@@ -81,17 +84,21 @@ def _check_means(means: np.ndarray, cfg: ProblemConfig) -> np.ndarray:
 
 
 class _SolverBase:
-    """Shared result plumbing; concrete solvers implement solve_levels."""
+    """Shared result plumbing; concrete solvers implement _levels, which
+    receives a matrix _check_means has already validated."""
 
     cfg: ProblemConfig
     spec: OracleSpec
 
-    def solve_levels(self, means: np.ndarray) -> np.ndarray:
+    def _levels(self, means: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def solve_levels(self, means: np.ndarray) -> np.ndarray:
+        return self._levels(_check_means(means, self.cfg))
 
     def solve(self, means: np.ndarray) -> OracleResult:
         means = _check_means(means, self.cfg)
-        levels = self.solve_levels(means)
+        levels = self._levels(means)
         alloc = Allocation(tuple(int(a) for a in levels))
         return OracleResult(alloc, allocation_value(means, levels))
 
@@ -144,8 +151,7 @@ class ExactDpSolver(_SolverBase):
             self._pad_v = np.empty(cap + 2)
             self._pad_u = np.empty(cap + 2, dtype=np.int64)
 
-    def solve_levels(self, means: np.ndarray) -> np.ndarray:
-        means = _check_means(means, self.cfg)
+    def _levels(self, means: np.ndarray) -> np.ndarray:
         resources, n, cap = self._resources, self._n, self._cap
         last = resources - 1
         if self._last_in is None:
@@ -220,6 +226,15 @@ class GreedySolver(_SolverBase):
     prefer the smaller resource index, then the smaller target level. No
     approximation ratio is claimed; measure it per instance against
     ExactDpSolver.
+
+    Each resource's best upgrade (the first maximizer of the ratio over its
+    affordable target levels) is cached between upgrades. An upgrade changes
+    only the upgraded resource's candidates and shrinks everyone else's to a
+    shorter prefix of target levels, so a cached upgrade stays the first
+    maximizer for as long as it remains affordable, and a resource without a
+    positive-gain upgrade never gains one. Only the upgraded resource and
+    those whose cached target no longer fits the remaining budget are
+    rescanned.
     """
 
     def __init__(self, cfg: ProblemConfig):
@@ -227,40 +242,56 @@ class GreedySolver(_SolverBase):
         self.spec = OracleSpec(1.0, 1.0, "greedy")
         self._cap = min(cfg.capacity_units, cfg.resources * (cfg.space.n - 1))
 
-    def solve_levels(self, means: np.ndarray) -> np.ndarray:
-        means = _check_means(means, self.cfg)
-        n = self.cfg.space.n
+    def _levels(self, means: np.ndarray) -> np.ndarray:
+        rows = means.tolist()
+        top_level = self.cfg.space.n - 1
         pitch = self.cfg.space.pitch
-        levels = np.zeros(self.cfg.resources, dtype=np.int64)
-        spent = 0
+        levels = [0] * len(rows)
+        room = self._cap  # budget units not yet spent
+
+        def best_upgrade(row, cur):
+            # First (ratio, target) with the largest strictly positive ratio
+            # among the affordable target levels, or None.
+            base = row[cur]
+            best_ratio = 0.0
+            best = None
+            for b in range(cur + 1, min(top_level, cur + room) + 1):
+                gain = row[b] - base
+                if gain <= 0:
+                    continue
+                ratio = gain / ((b - cur) * pitch)
+                if ratio > best_ratio:
+                    best_ratio = ratio
+                    best = b
+            return None if best is None else (best_ratio, best)
+
+        cached = [best_upgrade(row, 0) for row in rows]
         while True:
             best_ratio = 0.0
-            best: tuple[int, int] | None = None
-            for k in range(self.cfg.resources):
-                cur = int(levels[k])
-                base = means[k, cur]
-                top = min(n - 1, cur + self._cap - spent)
-                for b in range(cur + 1, top + 1):
-                    gain = means[k, b] - base
-                    if gain <= 0:
-                        continue
-                    ratio = gain / ((b - cur) * pitch)
-                    if ratio > best_ratio:
-                        best_ratio = ratio
-                        best = (k, b)
-            if best is None:
-                return levels
-            k, b = best
-            spent += b - int(levels[k])
-            levels[k] = b
+            pick = -1
+            for k, upgrade in enumerate(cached):
+                if upgrade is not None and upgrade[0] > best_ratio:
+                    best_ratio = upgrade[0]
+                    pick = k
+            if pick < 0:
+                return np.array(levels, dtype=np.int64)
+            b = cached[pick][1]
+            room -= b - levels[pick]
+            levels[pick] = b
+            for k, upgrade in enumerate(cached):
+                if k == pick or (upgrade is not None and upgrade[1] - levels[k] > room):
+                    cached[k] = best_upgrade(rows[k], levels[k])
 
 
 class CoinFlipOracle(_SolverBase):
     """Simulates a solver that succeeds only with probability beta.
 
-    Each call flips a Bernoulli(beta) coin on a dedicated counter-based
+    Call number c (counted by ``calls``, from 1) flips a Bernoulli(beta) coin,
+    the uniform draw at address (seed, stream, c) of a dedicated counter-based
     stream; on success it defers to the base solver, on failure it returns
-    the all-zeros allocation. Runs replay exactly for a fixed seed.
+    the all-zeros allocation. The coins are drawn in blocks of consecutive
+    addresses with streams.uniform_block, which reproduces the pointwise
+    draws, so runs replay exactly for a fixed seed.
     """
 
     def __init__(
@@ -278,12 +309,31 @@ class CoinFlipOracle(_SolverBase):
         self._seed = int(seed)
         self._stream = int(stream)
         self.calls = 0
+        # _coins[i] is the coin at address _first + i.
+        self._first = 1
+        self._coins: list[float] = []
+
+    def _heads(self) -> bool:
+        """Count one call and report whether its coin succeeds."""
+        self.calls += 1
+        i = self.calls - self._first
+        if not 0 <= i < len(self._coins):
+            self._first = self.calls
+            self._coins = streams.uniform_block(
+                self._seed, self._stream, self.calls, _COIN_BLOCK
+            ).tolist()
+            i = 0
+        return self._coins[i] < self.spec.beta
 
     def solve_levels(self, means: np.ndarray) -> np.ndarray:
-        self.calls += 1
-        u = streams.uniform_at(self._seed, self._stream, self.calls)
-        if u < self.spec.beta:
+        # The base solver validates the means, and only when the coin succeeds.
+        if self._heads():
             return self.base.solve_levels(means)
+        return np.zeros(self.cfg.resources, dtype=np.int64)
+
+    def _levels(self, means: np.ndarray) -> np.ndarray:
+        if self._heads():
+            return self.base._levels(means)
         return np.zeros(self.cfg.resources, dtype=np.int64)
 
 

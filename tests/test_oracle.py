@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 from banditalloc import (
     ActionSpace,
@@ -8,11 +9,14 @@ from banditalloc import (
     GreedySolver,
     OracleSpec,
     ProblemConfig,
+    RewardModel,
     allocation_value,
     build_solver,
     iter_feasible_levels,
+    run,
     solve_exact_dp,
     solve_greedy,
+    streams,
 )
 
 
@@ -50,6 +54,86 @@ def random_instance(rng):
         space = ActionSpace.uniform_grid(n, pitch)
     cfg = ProblemConfig(resources=resources, budget=budget, space=space)
     return cfg, rng.random((resources, n))
+
+
+def reference_greedy(means, cfg):
+    """The upgrade greedy as a plain rescan of every resource and target level
+    per upgrade, with the solver's arithmetic and tie order."""
+    cap = min(cfg.capacity_units, cfg.resources * (cfg.space.n - 1))
+    n, pitch = cfg.space.n, cfg.space.pitch
+    levels = np.zeros(cfg.resources, dtype=np.int64)
+    spent = 0
+    while True:
+        best_ratio = 0.0
+        best = None
+        for k in range(cfg.resources):
+            cur = int(levels[k])
+            base = means[k, cur]
+            top = min(n - 1, cur + cap - spent)
+            for b in range(cur + 1, top + 1):
+                gain = means[k, b] - base
+                if gain <= 0:
+                    continue
+                ratio = gain / ((b - cur) * pitch)
+                if ratio > best_ratio:
+                    best_ratio = ratio
+                    best = (k, b)
+        if best is None:
+            return levels
+        k, b = best
+        spent += b - int(levels[k])
+        levels[k] = b
+
+
+def reference_coin(seed, stream, call):
+    """The success coin of call number ``call``, drawn on its own."""
+    bits = Philox(key=[seed, stream], counter=[call, 0, 0, 0])
+    return float(Generator(bits).random())
+
+
+class ReferenceCoinGreedy:
+    """Coin-wrapped greedy built from the two references above."""
+
+    def __init__(self, cfg, beta, seed):
+        self.cfg = cfg
+        self.spec = OracleSpec(1.0, beta, "greedy")
+        self._seed = seed
+        self.calls = 0
+
+    def solve_levels(self, means):
+        self.calls += 1
+        if reference_coin(self._seed, streams.COIN_STREAM, self.calls) < self.spec.beta:
+            return reference_greedy(means, self.cfg)
+        return np.zeros(self.cfg.resources, dtype=np.int64)
+
+
+def greedy_case(rng, values):
+    """A random instance with K 1-6 and n 2-7, its budget below, at or above
+    the (n-1)*K units that buy every top level, and means from ``values``."""
+    resources = int(rng.integers(1, 7))
+    n = int(rng.integers(2, 8))
+    if rng.random() < 0.5:
+        space = ActionSpace.integer_levels(n)
+    else:
+        space = ActionSpace.uniform_grid(n, float(rng.uniform(0.05, 1.5)))
+    full = (n - 1) * resources
+    units = [int(rng.integers(0, full + 1)), full, full + int(rng.integers(1, 4))][
+        int(rng.integers(0, 3))
+    ]
+    if not space.is_grid:
+        units = max(units, n - 1)  # a native space must afford its top level
+    cfg = ProblemConfig(resources=resources, budget=units * space.pitch, space=space)
+    return cfg, values(rng, (resources, n))
+
+
+GREEDY_VALUES = {
+    "uniform": lambda rng, shape: rng.random(shape),
+    "heavy_ties": lambda rng, shape: np.array([0.0, 0.25, 0.5, 1.0])[
+        rng.integers(0, 4, size=shape)
+    ],
+    "clamped": lambda rng, shape: np.minimum(1.0, 1.5 * rng.random(shape)),
+    "negative": lambda rng, shape: rng.normal(size=shape),
+}
 
 
 class TestExactDp:
@@ -200,6 +284,36 @@ class TestGreedy:
         means = np.array([[0.0, 0.5], [0.0, 0.5]])
         assert solve_greedy(means, cfg).allocation.levels == (1, 0)
 
+    @pytest.mark.parametrize("seed, values", enumerate(sorted(GREEDY_VALUES)))
+    def test_matches_reference_loop(self, seed, values):
+        rng = np.random.default_rng(seed)
+        budgets = {"below": 0, "at": 0, "above": 0}
+        for _ in range(600):
+            cfg, means = greedy_case(rng, GREEDY_VALUES[values])
+            full = (cfg.space.n - 1) * cfg.resources
+            units = cfg.capacity_units
+            budgets["below" if units < full else "at" if units == full else "above"] += 1
+            got = GreedySolver(cfg).solve_levels(means)
+            want = reference_greedy(means, cfg)
+            assert got.dtype == want.dtype
+            assert got.tolist() == want.tolist()
+        assert min(budgets.values()) > 0
+
+    def test_shape_and_finite_errors(self):
+        cfg = native_cfg(2, 2.0, 3)
+        solver = GreedySolver(cfg)
+        for bad in (
+            np.zeros((3, 3)),
+            np.zeros((2, 2)),
+            np.array([[0.0, np.nan, 0.1], [0.0, 0.1, 0.2]]),
+            np.array([[0.0, 0.1, 0.1], [0.0, np.inf, 0.2]]),
+            np.array([[-np.inf, 0.1, 0.1], [0.0, 0.1, 0.2]]),
+        ):
+            with pytest.raises(ValueError):
+                solver.solve(bad)
+            with pytest.raises(ValueError):
+                solver.solve_levels(bad)
+
 
 class TestCoinFlipOracle:
     def test_beta_one_equals_base(self):
@@ -235,6 +349,55 @@ class TestCoinFlipOracle:
             oracle = CoinFlipOracle(ExactDpSolver(cfg), beta=0.4, seed=77)
             runs.append([tuple(oracle.solve_levels(means)) for _ in range(50)])
         assert runs[0] == runs[1]
+
+    def test_coins_match_pointwise_draws_across_blocks(self):
+        cfg = native_cfg(2, 2.0, 3)
+        means = np.array([[0.0, 0.5, 0.6], [0.0, 0.3, 0.9]])
+        beta, seed = 0.55, 2024
+        oracle = CoinFlipOracle(GreedySolver(cfg), beta=beta, seed=seed)
+        success = reference_greedy(means, cfg).tolist()
+        assert success != [0, 0]
+        got = [oracle.solve_levels(means).tolist() for _ in range(2500)]
+        want = [
+            success if reference_coin(seed, streams.COIN_STREAM, c) < beta else [0, 0]
+            for c in range(1, 2501)
+        ]
+        assert got == want
+        assert oracle.calls == 2500
+
+    def test_learner_run_matches_reference_solver(self):
+        cfg = ProblemConfig(resources=4, budget=7.0, space=ActionSpace.integer_levels(5))
+        thetas = (0.2, 0.45, 0.7, 0.95)
+        traces = []
+        for solver in (
+            build_solver(OracleSpec(0.9, 0.9, "greedy"), cfg, seed=5),
+            ReferenceCoinGreedy(cfg, 0.9, 5),
+        ):
+            model = RewardModel.hinge(thetas, budget=cfg.budget, rng_seed=13)
+            traces.append(run(model, solver, cfg, 3000))
+        got, want = traces
+        assert np.array_equal(got.levels, want.levels)
+        assert np.array_equal(got.rewards, want.rewards)
+        assert np.array_equal(got.expected, want.expected)
+        assert np.array_equal(got.stats.counts, want.stats.counts)
+        assert np.array_equal(got.stats.emp_means, want.stats.emp_means)
+
+    def test_shape_and_finite_errors(self):
+        cfg = native_cfg(2, 2.0, 3)
+        seed, tiny = 3, 1e-9
+        # With beta this small the first coin fails, so the base solver never
+        # sees the means; solve must still reject them.
+        assert reference_coin(seed, streams.COIN_STREAM, 1) >= tiny
+        for beta in (1.0, 0.5, tiny):
+            oracle = CoinFlipOracle(GreedySolver(cfg), beta=beta, seed=seed)
+            for bad in (
+                np.zeros((3, 3)),
+                np.array([[0.0, np.nan, 0.1], [0.0, 0.1, 0.2]]),
+                np.array([[0.0, 0.1, 0.1], [0.0, np.inf, 0.2]]),
+            ):
+                with pytest.raises(ValueError):
+                    oracle.solve(bad)
+            assert oracle.calls == 0
 
     def test_spec_reflects_wrapping(self):
         cfg = native_cfg(2, 2.0, 3)
