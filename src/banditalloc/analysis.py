@@ -353,20 +353,26 @@ def scaling_check(
     )
 
 
+def _outside_interval(emp_means, mu, radii) -> np.ndarray:
+    """Which arms' empirical means sit outside their confidence interval,
+    |emp - true| >= radius. Untried arms have an infinite radius and never do."""
+    return np.abs(emp_means - mu) >= radii
+
+
 def coverage_diagnostic(trace: RunTrace, model: RewardModel) -> CoverageReport:
     """Count rounds where some arm's empirical mean sat outside its
     confidence interval (|emp - true| >= radius) at the start of the round.
 
-    Requires a trace recorded with record_internals=True. Untried arms have
-    infinite radius and never violate. The theory predicts at most
-    (pi^2 / 3) * arm_count such rounds in expectation, independent of the
-    horizon.
+    Requires a trace recorded with record_internals=True. The theory
+    predicts at most (pi^2 / 3) * arm_count such rounds in expectation,
+    independent of the horizon.
     """
     if trace.emp_snapshots is None or trace.radius_snapshots is None:
         raise ValueError("trace was recorded without internals")
     mu = model.mean_matrix(trace.config.space)
-    deviations = np.abs(trace.emp_snapshots - mu[None, :, :])
-    violations = (deviations >= trace.radius_snapshots).any(axis=(1, 2))
+    violations = _outside_interval(
+        trace.emp_snapshots, mu, trace.radius_snapshots
+    ).any(axis=(1, 2))
     return CoverageReport(
         violations=violations,
         count=int(violations.sum()),
@@ -389,5 +395,5 @@ class CoverageObserver:
 
     def __call__(self, t: int, emp_means: np.ndarray, radii: np.ndarray) -> None:
         self.rounds += 1
-        if (np.abs(emp_means - self._mu) >= radii).any():
+        if _outside_interval(emp_means, self._mu, radii).any():
             self.count += 1

@@ -17,7 +17,6 @@ play, and any round can be replayed in isolation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,7 +118,12 @@ class RewardModel:
     # -- sampling ---------------------------------------------------------
 
     def sample_reward(self, arm: ArmId, space: ActionSpace, t: int) -> float:
-        """Draw the reward of a single base arm at round t (t >= 1)."""
+        """Draw the reward of a single base arm at round t (t >= 1).
+
+        A view of rewards_from_uniforms: every resource is handed this
+        arm's level and uniform, and resource k's entry is returned, so the
+        draw is the one the runner sees when it plays the arm at round t.
+        """
         self.check_space(space)
         if t < 1:
             raise ValueError(f"round index starts at 1, got {t}")
@@ -127,14 +131,11 @@ class RewardModel:
             raise ValueError(f"resource index {arm.k} out of range")
         value = space.value(arm.a)
         u = streams.uniform_at(self.rng_seed, arm.k, t)
-        k0 = arm.k - 1
-        if self.family == "table":
-            return 1.0 if u < self.probs[k0, arm.a] else 0.0
-        if self.family == "hinge":
-            requirement = self.thetas[k0] * self.budget * u
-            return max(value - requirement, 0.0) / self.budget
-        met = u < self.success_probs[k0]
-        return (1.0 - math.exp(-value / self.thetas[k0])) if met else 0.0
+        resources = self.k_count
+        rewards = self.rewards_from_uniforms(
+            np.full(resources, arm.a), np.full(resources, value), np.full(resources, u)
+        )
+        return float(rewards[arm.k - 1])
 
     def uniform_block(self, k: int, start: int, count: int) -> np.ndarray:
         """The raw uniforms behind resource k's rewards for rounds
@@ -162,22 +163,12 @@ class RewardModel:
     # -- closed-form moments ----------------------------------------------
 
     def true_mean(self, arm: ArmId, space: ActionSpace) -> float:
-        """Exact expected reward of a base arm."""
+        """Exact expected reward of a base arm: its cell of mean_matrix."""
         self.check_space(space)
         if not 1 <= arm.k <= self.k_count:
             raise ValueError(f"resource index {arm.k} out of range")
-        k0 = arm.k - 1
-        if self.family == "table":
-            return float(self.probs[k0, arm.a])
-        value = space.value(arm.a)
-        if self.family == "hinge":
-            spread = self.thetas[k0] * self.budget
-            if value <= spread:
-                return value * value / (2.0 * spread) / self.budget
-            return (value - spread / 2.0) / self.budget
-        return float(
-            self.success_probs[k0] * (1.0 - math.exp(-value / self.thetas[k0]))
-        )
+        space.value(arm.a)  # raises on a level outside the space
+        return float(self.mean_matrix(space)[arm.k - 1, arm.a])
 
     def mean_matrix(self, space: ActionSpace) -> np.ndarray:
         """(K, n) matrix of true means over the level space."""

@@ -17,6 +17,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -435,6 +436,15 @@ def _check_mode_requirements(config: ExperimentConfig) -> None:
                 )
 
 
+def _native_config(config: ExperimentConfig) -> ProblemConfig:
+    """The instance on the config's native integer levels (dra and bounds)."""
+    return ProblemConfig(
+        resources=config.problem.resources,
+        budget=config.problem.budget,
+        space=ActionSpace.integer_levels(config.problem.levels),
+    )
+
+
 def build_model(config: ExperimentConfig, rng_seed: int) -> RewardModel:
     """Instantiate the configured reward family with a given noise seed."""
     r = config.rewards
@@ -457,13 +467,22 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, header: Iterable[str], rows, meta: dict) -> None:
-    with open(path, "w", newline="") as fh:
-        for key, value in meta.items():
-            fh.write(f"# {key}={value}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(cell) for cell in row])
+    """Write the file beside ``path`` under a temporary name and move it into
+    place once complete, so a failed or interrupted write never leaves a
+    truncated file under the real name."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            for key, value in meta.items():
+                fh.write(f"# {key}={value}\n")
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([_fmt(cell) for cell in row])
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _write_trace_csv(
@@ -486,47 +505,17 @@ def _write_trace_csv(
 # -- replication workers ------------------------------------------------------
 
 
-def _replication_seed(config: ExperimentConfig, rep: int) -> int:
-    return streams.mix_seed(config.seed, rep)
-
-
 def _bandit_task(payload: tuple) -> tuple[np.ndarray, int]:
-    """Run one replication; returns (per-round expected rewards, coverage
-    violation count). Top level so process pools can pickle it."""
-    raw, horizon, rep, out = payload
-    config = ExperimentConfig.from_dict(raw)
-    rng_seed = _replication_seed(config, rep)
+    """Run one replication on an instance the parent built; returns
+    (per-round expected rewards, coverage violation count). Top level so
+    process pools can pickle it."""
+    config, cfg, horizon, rep, out = payload
+    rng_seed = streams.mix_seed(config.seed, rep)
     model = build_model(config, rng_seed)
-    if config.mode == "dra":
-        cfg = ProblemConfig(
-            resources=config.problem.resources,
-            budget=config.problem.budget,
-            space=ActionSpace.integer_levels(config.problem.levels),
-        )
-    else:
-        lip = (
-            model.lipschitz_constant()
-            if config.lipschitz is None
-            else config.lipschitz
-        )
-        plan = plan_discretization(
-            config.smoothness,
-            config.problem.budget,
-            lip,
-            config.problem.resources,
-            horizon,
-            config.max_levels,
-        )
-        cfg = ProblemConfig(
-            resources=config.problem.resources,
-            budget=config.problem.budget,
-            space=plan.grid,
-        )
     solver = build_solver(config.oracle, cfg, seed=rng_seed)
     observer = CoverageObserver(model.mean_matrix(cfg.space))
     trace = run(model, solver, cfg, horizon, observer=observer)
     if config.write_traces:
-        trace_dir = Path(out) / "traces"
         meta = {
             "config_hash": config.config_hash(),
             "mode": config.mode,
@@ -534,12 +523,11 @@ def _bandit_task(payload: tuple) -> tuple[np.ndarray, int]:
             "replication": rep,
             "rng_seed": rng_seed,
         }
-        if config.mode == "cra":
+        if cfg.space.is_grid:
             meta["epsilon"] = repr(cfg.space.pitch)
             meta["N"] = cfg.space.n
-        _write_trace_csv(
-            trace_dir / f"trace_{config.mode}_T{horizon}_rep{rep}.csv", trace, meta
-        )
+        name = f"trace_{config.mode}_T{horizon}_rep{rep}.csv"
+        _write_trace_csv(Path(out) / "traces" / name, trace, meta)
     return trace.expected, observer.count
 
 
@@ -636,62 +624,44 @@ def _safe_gaps(
         return None
 
 
+def _instances(config: ExperimentConfig, model: RewardModel) -> Iterator[tuple]:
+    """(horizon, instance, gaps, benchmark, grid pitch) for each horizon,
+    with every instance built once. dra plays the native levels (pitch None)
+    against alpha * beta * opt at every horizon; cra plays each horizon's
+    planned grid against alpha * beta * reference.hi of one continuous
+    reference."""
+    scale = config.oracle.alpha * config.oracle.beta
+    if config.mode == "dra":
+        cfg = _native_config(config)
+        benchmark = scale * compute_opt(model, cfg)
+        gaps = _safe_gaps(model, cfg, config.oracle.alpha)
+        for horizon in config.horizons:
+            yield horizon, cfg, gaps, benchmark, None
+        return
+    resources, budget = config.problem.resources, config.problem.budget
+    reference = compute_continuous_reference(
+        model, budget, config.reference_refinement
+    )
+    lip = model.lipschitz_constant() if config.lipschitz is None else config.lipschitz
+    for horizon in config.horizons:
+        plan = plan_discretization(
+            config.smoothness, budget, lip, resources, horizon, config.max_levels
+        )
+        cfg = ProblemConfig(resources=resources, budget=budget, space=plan.grid)
+        gaps = _safe_gaps(model, cfg, config.oracle.alpha)
+        yield horizon, cfg, gaps, scale * reference.hi, plan.pitch
+
+
 def _run_bandit_modes(config: ExperimentConfig, out_dir: Path) -> ExperimentSummary:
     summary = ExperimentSummary(mode=config.mode)
-    raw = config.to_dict()
     model0 = build_model(config, rng_seed=0)  # means only; the seed is unused
-    scale = config.oracle.alpha * config.oracle.beta
     if config.write_traces:
         (out_dir / "traces").mkdir(parents=True, exist_ok=True)
 
-    dra_cfg = None
-    dra_gaps = None
-    dra_opt = None
-    if config.mode == "dra":
-        dra_cfg = ProblemConfig(
-            resources=config.problem.resources,
-            budget=config.problem.budget,
-            space=ActionSpace.integer_levels(config.problem.levels),
-        )
-        dra_opt = compute_opt(model0, dra_cfg)
-        dra_gaps = _safe_gaps(model0, dra_cfg, config.oracle.alpha)
-
-    for horizon in config.horizons:
-        if config.mode == "dra":
-            cfg = dra_cfg
-            gaps = dra_gaps
-            benchmark = scale * dra_opt
-            epsilon = None
-            normalized_due = False
-        else:
-            lip = (
-                model0.lipschitz_constant()
-                if config.lipschitz is None
-                else config.lipschitz
-            )
-            plan = plan_discretization(
-                config.smoothness,
-                config.problem.budget,
-                lip,
-                config.problem.resources,
-                horizon,
-                config.max_levels,
-            )
-            cfg = ProblemConfig(
-                resources=config.problem.resources,
-                budget=config.problem.budget,
-                space=plan.grid,
-            )
-            reference = compute_continuous_reference(
-                model0, config.problem.budget, config.reference_refinement
-            )
-            gaps = _safe_gaps(model0, cfg, config.oracle.alpha)
-            benchmark = scale * reference.hi
-            epsilon = plan.pitch
-            normalized_due = True
-
+    for horizon, cfg, gaps, benchmark, epsilon in _instances(config, model0):
         payloads = [
-            (raw, horizon, rep, str(out_dir)) for rep in range(config.replications)
+            (config, cfg, horizon, rep, str(out_dir))
+            for rep in range(config.replications)
         ]
         finals = []
         coverage = []
@@ -719,7 +689,7 @@ def _run_bandit_modes(config: ExperimentConfig, out_dir: Path) -> ExperimentSumm
         normalized = (
             float(np.mean(finals_arr))
             / (horizon ** (2.0 / 3.0) * math.log(horizon) ** (1.0 / 3.0))
-            if normalized_due and horizon >= 2
+            if epsilon is not None and horizon >= 2
             else None
         )
         row = AggregateRow(
@@ -829,11 +799,7 @@ def _run_bounds(config: ExperimentConfig, out_dir: Path) -> ExperimentSummary:
     """Tabulate the regret bounds for the configured instance per horizon."""
     summary = ExperimentSummary(mode="bounds")
     model0 = build_model(config, rng_seed=0)
-    cfg = ProblemConfig(
-        resources=config.problem.resources,
-        budget=config.problem.budget,
-        space=ActionSpace.integer_levels(config.problem.levels),
-    )
+    cfg = _native_config(config)
     try:
         gaps = compute_gaps(model0, cfg, config.oracle.alpha)
     except EnumerationInfeasibleError as exc:

@@ -56,12 +56,6 @@ class UcbVector:
     radii: np.ndarray  # (K, n), +inf on untried arms
 
 
-def _radii(counts: np.ndarray, t: int) -> np.ndarray:
-    radii = np.full(counts.shape, np.inf)
-    _radii_into(radii, 2.0 * counts, counts > 0, 3.0 * np.log(t))
-    return radii
-
-
 def _radii_into(
     radii: np.ndarray, twice_counts: np.ndarray, tried: np.ndarray, scaled_log: float
 ) -> None:
@@ -74,12 +68,21 @@ def _radii_into(
     np.sqrt(radii, out=radii)
 
 
+def _clamp_upper(emp_means, radii, out: np.ndarray) -> np.ndarray:
+    """Write the optimistic values min(1, emp_mean + radius) into ``out``."""
+    np.add(emp_means, radii, out=out)
+    return np.minimum(out, 1.0, out=out)
+
+
 def compute_ucb(stats: ArmStats, t: int) -> UcbVector:
     """Confidence radii and clamped optimistic means at round t (t >= 1)."""
     if t < 1:
         raise ValueError(f"round index starts at 1, got {t}")
-    radii = _radii(stats.counts, t)
-    return UcbVector(upper=np.minimum(1.0, stats.emp_means + radii), radii=radii)
+    counts = stats.counts
+    radii = np.full(counts.shape, np.inf)
+    _radii_into(radii, 2.0 * counts, counts > 0, 3.0 * np.log(t))
+    upper = _clamp_upper(stats.emp_means, radii, np.empty(radii.shape))
+    return UcbVector(upper=upper, radii=radii)
 
 
 def update(stats: ArmStats, allocation: Allocation, rewards: np.ndarray) -> ArmStats:
@@ -147,6 +150,19 @@ class RunTrace:
         return np.cumsum(self.expected)
 
 
+def _snapshot_observer(emp_snap, rad_snap, then=None):
+    """An observer that copies round t's statistics into row t - 1 of the
+    snapshot arrays, then calls ``then`` if one is given."""
+
+    def observe(t: int, emp_means: np.ndarray, radii: np.ndarray) -> None:
+        emp_snap[t - 1] = emp_means
+        rad_snap[t - 1] = radii
+        if then is not None:
+            then(t, emp_means, radii)
+
+    return observe
+
+
 def run(
     model: RewardModel,
     solver: _SolverBase,
@@ -165,7 +181,8 @@ def run(
         Number of rounds T >= 1.
     record_internals:
         Keep per-round empirical means and radii on the trace ((T, K, n)
-        arrays, so reserve memory accordingly).
+        arrays, so reserve memory accordingly). They are copied by an
+        observer that runs before ``observer``.
     observer:
         Optional callback observer(t, emp_means, radii) invoked with the
         start-of-round statistics before the allocation is chosen. The
@@ -201,7 +218,7 @@ def run(
     counts = np.zeros((resources, n), dtype=np.int64)
     emp_means = np.zeros((resources, n))
     # The radii live in one buffer that starts at +inf; each round rewrites
-    # the tried arms from 2 count (kept as floats, like _radii's 2.0 * counts)
+    # the tried arms from 2 count (kept as floats, like compute_ucb's 2.0 * counts)
     # and 3 ln t, which is evaluated per chunk of rounds: np.log over an array
     # gives the same doubles as np.log round by round.
     twice_counts = np.zeros((resources, n))
@@ -212,8 +229,11 @@ def run(
 
     level_hist = np.empty((horizon, resources), dtype=np.int64)
     reward_hist = np.empty((horizon, resources))
-    emp_snap = np.empty((horizon, resources, n)) if record_internals else None
-    rad_snap = np.empty((horizon, resources, n)) if record_internals else None
+    emp_snap = rad_snap = None
+    if record_internals:
+        emp_snap = np.empty((horizon, resources, n))
+        rad_snap = np.empty((horizon, resources, n))
+        observer = _snapshot_observer(emp_snap, rad_snap, observer)
 
     for start in range(1, horizon + 1, _LOG_CHUNK):
         stop = min(start + _LOG_CHUNK, horizon + 1)
@@ -222,12 +242,7 @@ def run(
             _radii_into(radii, twice_counts, tried if untried else True, scaled_log)
             if observer is not None:
                 observer(t, emp_means, radii)
-            if record_internals:
-                emp_snap[t - 1] = emp_means
-                rad_snap[t - 1] = radii
-            np.add(emp_means, radii, out=upper)
-            np.minimum(upper, 1.0, out=upper)
-            levels = solver.solve_levels(upper)
+            levels = solver.solve_levels(_clamp_upper(emp_means, radii, upper))
             rewards = model.rewards_from_uniforms(
                 levels, level_values[levels], uniforms[:, t - 1]
             )

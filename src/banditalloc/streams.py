@@ -22,17 +22,17 @@ COIN_STREAM = 1 << 48
 
 
 def uniform_at(seed: int, stream: int, index: int) -> float:
-    """One U[0,1) draw addressed by (seed, stream, index)."""
-    bits = Philox(key=[seed & _MASK64, stream & _MASK64], counter=[index, 0, 0, 0])
-    return float(Generator(bits).random())
+    """One U[0,1) draw addressed by (seed, stream, index): a block of one."""
+    return float(uniform_block(seed, stream, index, 1)[0])
 
 
 def uniform_block(seed: int, stream: int, start: int, count: int) -> np.ndarray:
-    """Vector of uniform_at(seed, stream, start + i) for i in range(count).
+    """The draws at indices start..start+count-1 of (seed, stream).
 
-    Philox emits four 64-bit words per counter block; generating 4*count
-    doubles and keeping every fourth one reproduces the pointwise draws
-    exactly while filling the block in one call.
+    Philox emits four 64-bit words per counter block, one per double;
+    generating 4*count doubles and keeping every fourth one keeps the first
+    word of each block, so an index gets the same draw whatever block it
+    is generated in.
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")

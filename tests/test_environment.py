@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 from banditalloc import ActionSpace, ArmId, RewardModel
 from banditalloc import streams
@@ -19,6 +20,11 @@ class TestStreams:
         assert streams.uniform_at(43, 3, 100) != base
         assert streams.uniform_at(42, 4, 100) != base
         assert streams.uniform_at(42, 3, 101) != base
+
+    def test_pointwise_draw_is_the_first_philox_double(self):
+        # the address scheme itself, written out without the module
+        bits = Philox(key=[7, 2], counter=[5, 0, 0, 0])
+        assert streams.uniform_at(7, 2, 5) == float(Generator(bits).random())
 
     def test_block_matches_pointwise(self):
         block = streams.uniform_block(7, 2, 5, 64)
@@ -52,6 +58,14 @@ class TestTableFamily:
             for a in (0, 1):
                 assert model.true_mean(ArmId(k, a), space) == probs[k - 1, a]
         assert np.array_equal(model.mean_matrix(space), probs)
+
+    def test_true_mean_rejects_levels_outside_the_space(self):
+        # a negative level must not wrap around to the last column
+        model = RewardModel.table([[0.1, 0.9]], rng_seed=0)
+        space = ActionSpace.integer_levels(2)
+        for level in (-1, 2):
+            with pytest.raises(ValueError):
+                model.true_mean(ArmId(1, level), space)
 
     def test_degenerate_probabilities(self):
         model = RewardModel.table([[0.0, 1.0]], rng_seed=5)
@@ -89,6 +103,13 @@ class TestTableFamily:
             RewardModel.table([0.3, 0.7], rng_seed=0)
 
 
+# np.exp and math.exp disagree in the last bit on some of this grid's levels
+# (arm (2, 1) at t = 1 among them), so it tells a pointwise path that does not
+# share the vector code apart from one that does.
+CONCAVE_EXP_GRID_MODEL = RewardModel.concave_exp([1.0, 0.9], [0.7, 2.0], rng_seed=1)
+CONCAVE_EXP_GRID = ActionSpace.uniform_grid(50, 0.02)
+
+
 class TestHingeFamily:
     def test_closed_form_means(self):
         # theta=1, Q=1: mean(v) = v^2/2 below the spread, v - 1/2 above
@@ -106,14 +127,18 @@ class TestHingeFamily:
         assert model.true_mean(ArmId(1, 2), space) == pytest.approx(0.75)
 
     def test_mean_matrix_matches_pointwise(self):
-        model = RewardModel.hinge([0.3, 0.9], budget=2.0, rng_seed=0)
-        space = ActionSpace.uniform_grid(5, 0.5)
-        mat = model.mean_matrix(space)
-        for k in (1, 2):
-            for a in range(5):
-                assert mat[k - 1, a] == pytest.approx(
-                    model.true_mean(ArmId(k, a), space), abs=1e-15
-                )
+        # also on the concave_exp grid where math.exp and np.exp part ways
+        for model, space in (
+            (
+                RewardModel.hinge([0.3, 0.9], budget=2.0, rng_seed=0),
+                ActionSpace.uniform_grid(5, 0.5),
+            ),
+            (CONCAVE_EXP_GRID_MODEL, CONCAVE_EXP_GRID),
+        ):
+            mat = model.mean_matrix(space)
+            for k in (1, 2):
+                for a in range(space.n):
+                    assert mat[k - 1, a] == model.true_mean(ArmId(k, a), space)
 
     def test_zero_budget_level_earns_nothing(self):
         model = RewardModel.hinge([0.7, 0.2], budget=3.0, rng_seed=9)
@@ -212,8 +237,9 @@ def arm_grid(model, space):
             RewardModel.concave_exp([0.9, 0.4], [0.7, 2.0], rng_seed=1),
             ActionSpace.integer_levels(3),
         ),
+        (CONCAVE_EXP_GRID_MODEL, CONCAVE_EXP_GRID),
     ],
-    ids=["table", "hinge", "concave_exp"],
+    ids=["table", "hinge", "concave_exp", "concave_exp_grid"],
 )
 class TestSharedContract:
     def test_rewards_and_means_in_unit_interval(self, model, space):
@@ -230,18 +256,21 @@ class TestSharedContract:
             model.sample_reward(ArmId(3, 0), space, 1)
 
     def test_bulk_path_matches_pointwise(self, model, space):
-        # the runner's vectorized transform must reproduce sample_reward
-        rng = np.random.default_rng(0)
+        # the runner's vectorized transform must reproduce sample_reward on
+        # every level; resource k plays level (shift + k) mod n, so each
+        # shift mixes levels across resources and the shifts cover them all
         values = space.level_values
+        resources = range(model.k_count)
         for t in (1, 5, 33):
-            levels = rng.integers(0, space.n, size=model.k_count)
             u = np.array(
-                [streams.uniform_at(model.rng_seed, k, t) for k in (1, 2)]
+                [streams.uniform_at(model.rng_seed, k + 1, t) for k in resources]
             )
-            got = model.rewards_from_uniforms(levels, values[levels], u)
-            for k in (1, 2):
-                want = model.sample_reward(ArmId(k, levels[k - 1]), space, t)
-                assert got[k - 1] == want
+            for shift in range(space.n):
+                levels = (np.arange(model.k_count) + shift) % space.n
+                got = model.rewards_from_uniforms(levels, values[levels], u)
+                for k in resources:
+                    want = model.sample_reward(ArmId(k + 1, levels[k]), space, t)
+                    assert got[k] == want
 
     def test_same_seed_same_draws(self, model, space):
         a = [model.sample_reward(ArmId(1, space.n - 1), space, t) for t in range(1, 30)]

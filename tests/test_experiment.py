@@ -12,6 +12,7 @@ from banditalloc.experiment import (
     AGGREGATE_COLUMNS,
     BOUNDS_COLUMNS,
     ORACLE_CHECK_COLUMNS,
+    _write_csv,
     build_model,
 )
 
@@ -355,6 +356,32 @@ def test_trace_files(tmp_path):
     assert levels.sum(axis=1).max() <= 2  # feasibility survives the round trip
     rewards = np.array([[float(r[3]), float(r[4])] for r in rows])
     assert rewards.min() >= 0.0 and rewards.max() <= 1.0
+
+
+class TestAtomicCsv:
+    """A write that fails part way leaves no half-written file behind."""
+
+    @staticmethod
+    def rows_then_crash():
+        yield [1, 0.5]
+        yield [2, 0.25]
+        raise RuntimeError("interrupted")
+
+    def test_failed_write_leaves_no_target(self, tmp_path):
+        path = tmp_path / "out.csv"
+        with pytest.raises(RuntimeError, match="interrupted"):
+            _write_csv(path, ("a", "b"), self.rows_then_crash(), {"k": "v"})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_keeps_existing_target(self, tmp_path):
+        path = tmp_path / "out.csv"
+        _write_csv(path, ("a", "b"), [[1, 0.5]], {"k": "v"})
+        before = path.read_bytes()
+        assert before == b"# k=v\na,b\n1,0.5\n"
+        with pytest.raises(RuntimeError, match="interrupted"):
+            _write_csv(path, ("a", "b"), self.rows_then_crash(), {"k": "w"})
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestCraRuns:

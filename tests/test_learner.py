@@ -6,6 +6,7 @@ import pytest
 from banditalloc import (
     ActionSpace,
     Allocation,
+    ArmId,
     ArmStats,
     ExactDpSolver,
     ProblemConfig,
@@ -246,3 +247,55 @@ class TestRun:
             run(model, ExactDpSolver(other), cfg, 10)
         with pytest.raises(ValueError):
             run(flat_model(resources=3, seed=0), ExactDpSolver(cfg), cfg, 10)
+
+
+class TestStepApi:
+    """select_allocation -> sample_reward -> update replays run bit for bit."""
+
+    @pytest.mark.parametrize(
+        "model,cfg,horizon",
+        [
+            (
+                RewardModel.table([[0.1, 0.6, 0.3], [0.2, 0.4, 0.9]], rng_seed=13),
+                native_cfg(),
+                150,
+            ),
+            (
+                RewardModel.hinge([0.4, 0.9, 0.7], budget=2.0, rng_seed=5),
+                ProblemConfig(
+                    resources=3, budget=2.0, space=ActionSpace.uniform_grid(5, 0.5)
+                ),
+                300,
+            ),
+            (
+                RewardModel.concave_exp([0.9, 0.7], [0.8, 0.5], rng_seed=11),
+                ProblemConfig(
+                    resources=2,
+                    budget=1.0,
+                    space=ActionSpace.uniform_grid(12, 1.0 / 11.0),
+                ),
+                300,
+            ),
+        ],
+        ids=["table", "hinge_grid", "concave_exp_grid"],
+    )
+    def test_step_loop_replays_run(self, model, cfg, horizon):
+        trace = run(model, ExactDpSolver(cfg), cfg, horizon)
+        solver = ExactDpSolver(cfg)
+        stats = ArmStats.fresh(cfg.resources, cfg.space.n)
+        levels, rewards = [], []
+        for t in range(1, horizon + 1):
+            alloc = select_allocation(stats, t, solver)
+            observed = np.array(
+                [
+                    model.sample_reward(ArmId(k + 1, a), cfg.space, t)
+                    for k, a in enumerate(alloc.levels)
+                ]
+            )
+            update(stats, alloc, observed)
+            levels.append(alloc.levels)
+            rewards.append(observed)
+        assert np.array_equal(np.array(levels), trace.levels)
+        assert np.array_equal(np.array(rewards), trace.rewards)
+        assert np.array_equal(stats.counts, trace.stats.counts)
+        assert np.array_equal(stats.emp_means, trace.stats.emp_means)
