@@ -29,20 +29,6 @@ config = {
     "replications": 5,
 }
 
-root = Path(tempfile.mkdtemp(prefix="banditalloc_demo_"))
-
-summary = run_experiment(ExperimentConfig.from_dict({**config, "out": str(root / "a")}))
-print("files written:")
-for path in summary.files:
-    print("  ", path)
-
-# aggregate.csv: one row per horizon, config identity in '#' header lines.
-print("\naggregate.csv:")
-print((root / "a" / "aggregate.csv").read_text(), end="")
-
-# ---------------------------------------------------------------------------
-# Determinism, the blunt way: run it again elsewhere and hash everything.
-run_experiment(ExperimentConfig.from_dict({**config, "out": str(root / "b")}))
 
 def tree_digest(folder: Path) -> str:
     h = hashlib.sha256()
@@ -51,8 +37,27 @@ def tree_digest(folder: Path) -> str:
         h.update(p.read_bytes())
     return h.hexdigest()[:16]
 
-print("\nrun a:", tree_digest(root / "a"))
-print("run b:", tree_digest(root / "b"))
+
+# Both runs write under one temporary directory, removed when the demo ends.
+with tempfile.TemporaryDirectory(prefix="banditalloc_demo_") as tmp:
+    root = Path(tmp)
+    summary = run_experiment(
+        ExperimentConfig.from_dict({**config, "out": str(root / "a")})
+    )
+    print("files written:")
+    for path in summary.files:
+        print("  ", path)
+
+    # aggregate.csv: one row per horizon, config identity in '#' header lines.
+    print("\naggregate.csv:")
+    print((root / "a" / "aggregate.csv").read_text(), end="")
+
+    # -----------------------------------------------------------------------
+    # Determinism, the blunt way: run it again elsewhere and hash everything.
+    run_experiment(ExperimentConfig.from_dict({**config, "out": str(root / "b")}))
+
+    print("\nrun a:", tree_digest(root / "a"))
+    print("run b:", tree_digest(root / "b"))
 
 # A quick look at a regret curve without any plotting dependency:
 #   python3 -c "import pandas; print(pandas.read_csv('curve_T800.csv', comment='#'))"

@@ -37,15 +37,12 @@ class BoundParams:
 
     smoothness bounds how much the expected total reward can move per unit
     of change in any arm mean (1 when the objective is a plain sum of arm
-    means); alpha and beta declare the offline solver's quality; lipschitz
-    (only needed for discretization arguments) bounds the mean's slope in
-    the budget.
+    means); alpha and beta declare the offline solver's quality.
     """
 
     smoothness: float = 1.0
     alpha: float = 1.0
     beta: float = 1.0
-    lipschitz: float | None = None
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.smoothness) and self.smoothness > 0):
@@ -54,10 +51,6 @@ class BoundParams:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
         if not 0 < self.beta <= 1:
             raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
-        if self.lipschitz is not None and not (
-            np.isfinite(self.lipschitz) and self.lipschitz > 0
-        ):
-            raise ValueError(f"lipschitz must be positive, got {self.lipschitz}")
 
 
 @dataclass(frozen=True)

@@ -17,15 +17,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
-from .experiment import (
-    ConfigurationError,
-    ExperimentConfig,
-    ProblemParams,
-    RewardParams,
-    run_experiment,
-)
+from .experiment import ConfigurationError, ExperimentConfig, run_experiment
 
 _DEFAULT_CHECK_INSTANCES = 200
 
@@ -66,44 +59,42 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _default_check_config() -> ExperimentConfig:
+def _default_check_config() -> dict:
     # The instance battery is generated internally; the placeholder problem
     # and reward fields are never used by the oracle-check mode.
-    return ExperimentConfig(
-        mode="oracle-check",
-        seed=0,
-        problem=ProblemParams(resources=1, budget=1.0, levels=2),
-        rewards=RewardParams(family="table", probs=((0.5, 0.5),)),
-        replications=_DEFAULT_CHECK_INSTANCES,
-        out="results",
-    )
+    return {
+        "mode": "oracle-check",
+        "seed": 0,
+        "problem": {"resources": 1, "budget": 1.0, "levels": 2},
+        "rewards": {"family": "table", "probs": [[0.5, 0.5]]},
+        "replications": _DEFAULT_CHECK_INSTANCES,
+    }
+
+
+# Command-line overrides and the config fields they set.
+_OVERRIDES = (
+    ("out", "out"),
+    ("seed", "seed"),
+    ("jobs", "jobs"),
+    ("instances", "replications"),
+)
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
+    """The config with the subcommand's mode and the flags applied, parsed
+    once, so an override meets the same rules as the field it replaces."""
     if getattr(args, "config", None):
-        config = ExperimentConfig.from_file(args.config)
+        raw = ExperimentConfig.from_file(args.config).to_dict()
     elif args.command == "oracle-check":
-        config = _default_check_config()
+        raw = _default_check_config()
     else:  # pragma: no cover - argparse enforces --config elsewhere
         raise ConfigurationError("--config is required")
-
-    if args.command != "run" and config.mode != args.command:
-        config = replace(config, mode=args.command)
-        # Re-run the mode checks the original mode may have skipped.
-        config = ExperimentConfig.from_dict(config.to_dict())
-    if getattr(args, "out", None):
-        config = replace(config, out=args.out)
-    if getattr(args, "seed", None) is not None:
-        config = replace(config, seed=args.seed)
-    if getattr(args, "jobs", None) is not None:
-        if args.jobs < 1:
-            raise ConfigurationError("--jobs must be >= 1")
-        config = replace(config, jobs=args.jobs)
-    if getattr(args, "instances", None) is not None:
-        if args.instances < 1:
-            raise ConfigurationError("--instances must be >= 1")
-        config = replace(config, replications=args.instances)
-    return config
+    if args.command != "run":
+        raw["mode"] = args.command
+    for flag, key in _OVERRIDES:
+        if getattr(args, flag, None) is not None:
+            raw[key] = getattr(args, flag)
+    return ExperimentConfig.from_dict(raw)
 
 
 def main(argv: list[str] | None = None) -> int:

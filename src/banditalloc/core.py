@@ -99,8 +99,8 @@ class ProblemConfig:
             raise ValueError(f"budget must be a nonnegative real, got {self.budget}")
         if not self.space.is_grid and self.space.n > self.budget + 1:
             raise ValueError(
-                f"native space needs n <= budget + 1, got n={self.space.n} "
-                f"with budget {self.budget}"
+                f"levels must satisfy levels <= budget + 1, got {self.space.n} "
+                f"levels with budget {self.budget}"
             )
 
     @property

@@ -53,8 +53,8 @@ class RewardModel:
         probs = _frozen_array(probs)
         if probs.ndim != 2 or probs.shape[0] < 1 or probs.shape[1] < 1:
             raise ValueError("table needs a (resources, levels) probability matrix")
-        if np.any(probs < 0) or np.any(probs > 1):
-            raise ValueError("table probabilities must lie in [0, 1]")
+        if not np.all((probs >= 0) & (probs <= 1)):
+            raise ValueError("probs entries must lie in [0, 1]")
         return cls(family="table", rng_seed=int(rng_seed), probs=probs)
 
     @classmethod
@@ -62,10 +62,10 @@ class RewardModel:
         thetas = _frozen_array(thetas)
         if thetas.ndim != 1 or thetas.size < 1:
             raise ValueError("hinge needs one theta per resource")
-        if np.any(thetas <= 0) or np.any(thetas > 1):
-            raise ValueError("hinge thetas must lie in (0, 1]")
+        if not np.all((thetas > 0) & (thetas <= 1)):
+            raise ValueError("thetas must lie in (0, 1] for hinge")
         if not (np.isfinite(budget) and budget > 0):
-            raise ValueError(f"hinge needs a positive budget, got {budget}")
+            raise ValueError(f"family hinge needs a positive budget, got {budget}")
         return cls(
             family="hinge", rng_seed=int(rng_seed), thetas=thetas, budget=float(budget)
         )
@@ -75,11 +75,11 @@ class RewardModel:
         success_probs = _frozen_array(success_probs)
         thetas = _frozen_array(thetas)
         if success_probs.ndim != 1 or thetas.shape != success_probs.shape:
-            raise ValueError("concave_exp needs matching (K,) probs and thetas")
-        if np.any(success_probs < 0) or np.any(success_probs > 1):
-            raise ValueError("success probabilities must lie in [0, 1]")
-        if np.any(thetas <= 0):
-            raise ValueError("concave_exp thetas must be positive")
+            raise ValueError("thetas and success_probs must match in length")
+        if not np.all((success_probs >= 0) & (success_probs <= 1)):
+            raise ValueError("success_probs must lie in [0, 1]")
+        if not np.all(np.isfinite(thetas) & (thetas > 0)):
+            raise ValueError("thetas must be positive and finite")
         return cls(
             family="concave_exp",
             rng_seed=int(rng_seed),
@@ -105,7 +105,8 @@ class RewardModel:
                 raise ValueError("table rewards are defined per native level only")
             if space.n != self.probs.shape[1]:
                 raise ValueError(
-                    f"table has {self.probs.shape[1]} levels, space has {space.n}"
+                    f"probs must have one column per level, got "
+                    f"{self.probs.shape[1]} columns for {space.n} levels"
                 )
         elif self.family == "hinge":
             # Values past Q would push rewards above 1 and break the contract.

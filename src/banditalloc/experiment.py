@@ -19,6 +19,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -228,6 +229,17 @@ def _check_unknown(raw: dict, known: Iterable[str], path: str) -> None:
         )
 
 
+@contextmanager
+def _field_errors(prefix: str) -> Iterator[None]:
+    """Report a domain constructor's ValueError as a ConfigurationError
+    under the field it checked, e.g. "field problem." + "resources must be
+    >= 1, got 0"."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigurationError(f"{prefix}{exc}") from exc
+
+
 def _float_vector(value, key: str, path: str) -> tuple[float, ...]:
     value = _typed(value, key, list, path)
     out = []
@@ -275,10 +287,6 @@ def _parse_config(raw: dict) -> ExperimentConfig:
     resources = _require(problem_raw, "resources", int, "problem.")
     budget = _require(problem_raw, "budget", float, "problem.")
     levels = _optional(problem_raw, "levels", int, "problem.", None)
-    if resources < 1:
-        raise ConfigurationError("field problem.resources must be >= 1")
-    if not (math.isfinite(budget) and budget >= 0):
-        raise ConfigurationError("field problem.budget must be a nonnegative real")
     problem = ProblemParams(resources=resources, budget=budget, levels=levels)
 
     rewards_raw = raw.get("rewards")
@@ -316,10 +324,6 @@ def _parse_config(raw: dict) -> ExperimentConfig:
                 "success_probs",
                 "rewards.",
             )
-            if len(success_probs) != len(thetas):
-                raise ConfigurationError(
-                    "fields rewards.thetas and rewards.success_probs must match in length"
-                )
     rewards = RewardParams(
         family=family, probs=probs, thetas=thetas, success_probs=success_probs
     )
@@ -328,14 +332,11 @@ def _parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(oracle_raw, dict):
         raise ConfigurationError("field oracle must be an object")
     _check_unknown(oracle_raw, ("kind", "alpha", "beta"), "oracle.")
-    try:
-        oracle = OracleSpec(
-            alpha=_optional(oracle_raw, "alpha", float, "oracle.", 1.0),
-            beta=_optional(oracle_raw, "beta", float, "oracle.", 1.0),
-            kind=_optional(oracle_raw, "kind", str, "oracle.", "exact_dp"),
-        )
-    except ValueError as exc:
-        raise ConfigurationError(f"field oracle: {exc}") from exc
+    alpha = _optional(oracle_raw, "alpha", float, "oracle.", 1.0)
+    beta = _optional(oracle_raw, "beta", float, "oracle.", 1.0)
+    kind = _optional(oracle_raw, "kind", str, "oracle.", "exact_dp")
+    with _field_errors("field oracle: "):
+        oracle = OracleSpec(alpha=alpha, beta=beta, kind=kind)
 
     horizons_raw = _optional(raw, "horizons", list, "", [])
     horizons = []
@@ -352,9 +353,6 @@ def _parse_config(raw: dict) -> ExperimentConfig:
     jobs = _optional(raw, "jobs", int, "", 1)
     if jobs < 1:
         raise ConfigurationError("field jobs must be >= 1")
-    smoothness = _optional(raw, "smoothness", float, "", 1.0)
-    if not (math.isfinite(smoothness) and smoothness > 0):
-        raise ConfigurationError("field smoothness must be positive")
     lipschitz = _optional(raw, "lipschitz", float, "", None)
     if lipschitz is not None and not (math.isfinite(lipschitz) and lipschitz > 0):
         raise ConfigurationError("field lipschitz must be positive")
@@ -376,72 +374,64 @@ def _parse_config(raw: dict) -> ExperimentConfig:
         out=_optional(raw, "out", str, "", "results"),
         jobs=jobs,
         write_traces=_optional(raw, "write_traces", bool, "", False),
-        smoothness=smoothness,
+        smoothness=_optional(raw, "smoothness", float, "", 1.0),
         lipschitz=lipschitz,
         max_levels=max_levels,
         reference_refinement=reference_refinement,
     )
-    _check_mode_requirements(config)
+    _check_config(config)
     return config
 
 
-def _check_mode_requirements(config: ExperimentConfig) -> None:
+def _check_config(config: ExperimentConfig) -> None:
+    """Cross-field and mode rules here; range rules belong to the domain
+    constructors, so build each domain object once and report its error
+    under the field it checked."""
     mode = config.mode
+    problem = config.problem
     family = config.rewards.family
     if mode in ("dra", "bounds"):
-        if config.problem.levels is None:
+        if problem.levels is None:
             raise ConfigurationError(f"field problem.levels is required for mode {mode}")
-        if config.problem.levels < 2:
+        if problem.levels < 2:
             raise ConfigurationError("field problem.levels must be >= 2")
-        if config.problem.levels > config.problem.budget + 1:
-            raise ConfigurationError(
-                "field problem.levels must satisfy levels <= budget + 1"
-            )
     if mode == "cra":
         if family == "table":
             raise ConfigurationError(
                 "mode cra needs a reward family with a budget continuum "
                 "(hinge or concave_exp)"
             )
-        if config.problem.budget <= 0:
+        if not problem.budget > 0:
             raise ConfigurationError("field problem.budget must be positive for cra")
     if mode in ("dra", "cra") and not config.horizons:
         raise ConfigurationError(f"field horizons is required for mode {mode}")
+
+    with _field_errors("field problem."):
+        cfg = _native_config(config)
+    with _field_errors("field rewards."):
+        model = build_model(config, 0)
     if family == "table":
-        if config.problem.levels is not None and len(config.rewards.probs[0]) != (
-            config.problem.levels
-        ):
-            raise ConfigurationError(
-                "field rewards.probs must have problem.levels columns"
-            )
-        if len(config.rewards.probs) != config.problem.resources:
+        if len(config.rewards.probs) != problem.resources:
             raise ConfigurationError("field rewards.probs must have one row per resource")
-        flat = [p for row in config.rewards.probs for p in row]
-        if any(p < 0 or p > 1 for p in flat):
-            raise ConfigurationError("field rewards.probs entries must lie in [0, 1]")
-    else:
-        if len(config.rewards.thetas) != config.problem.resources:
-            raise ConfigurationError("field rewards.thetas must have one entry per resource")
-        if family == "hinge":
-            if any(t <= 0 or t > 1 for t in config.rewards.thetas):
-                raise ConfigurationError("field rewards.thetas must lie in (0, 1] for hinge")
-            if config.problem.budget <= 0:
-                raise ConfigurationError("field problem.budget must be positive for hinge")
-        else:
-            if any(t <= 0 for t in config.rewards.thetas):
-                raise ConfigurationError("field rewards.thetas must be positive")
-            if any(p < 0 or p > 1 for p in config.rewards.success_probs):
-                raise ConfigurationError(
-                    "field rewards.success_probs must lie in [0, 1]"
-                )
+    elif len(config.rewards.thetas) != problem.resources:
+        raise ConfigurationError("field rewards.thetas must have one entry per resource")
+    if mode in ("dra", "bounds"):
+        with _field_errors("field rewards."):
+            model.check_space(cfg.space)
+    with _field_errors("field "):
+        BoundParams(config.smoothness, config.oracle.alpha, config.oracle.beta)
 
 
 def _native_config(config: ExperimentConfig) -> ProblemConfig:
-    """The instance on the config's native integer levels (dra and bounds)."""
+    """The instance on the config's native integer levels (dra and bounds).
+    Other modes get the one-level instance, whose only allocation is all
+    zeros: cra plans its grid per horizon and oracle-check draws its own
+    instances, but their resources and budget are checked through it."""
+    levels = config.problem.levels if config.mode in ("dra", "bounds") else 1
     return ProblemConfig(
         resources=config.problem.resources,
         budget=config.problem.budget,
-        space=ActionSpace.integer_levels(config.problem.levels),
+        space=ActionSpace.integer_levels(levels),
     )
 
 

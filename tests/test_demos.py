@@ -32,3 +32,5 @@ def test_demo_runs(demo, tmp_path):
         timeout=300,
     )
     assert done.returncode == 0, done.stderr
+    # A demo removes what it wrote: the temporary directory ends empty.
+    assert list(tmp_path.iterdir()) == []

@@ -102,6 +102,11 @@ class TestTableFamily:
         with pytest.raises(ValueError):
             RewardModel.table([0.3, 0.7], rng_seed=0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_probabilities(self, bad):
+        with pytest.raises(ValueError, match="probs"):
+            RewardModel.table([[0.3, bad]], rng_seed=0)
+
 
 # np.exp and math.exp disagree in the last bit on some of this grid's levels
 # (arm (2, 1) at t = 1 among them), so it tells a pointwise path that does not
@@ -172,6 +177,13 @@ class TestHingeFamily:
         with pytest.raises(ValueError):
             RewardModel.hinge([0.5], budget=0.0, rng_seed=0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_parameters(self, bad):
+        with pytest.raises(ValueError, match="thetas"):
+            RewardModel.hinge([0.5, bad], budget=1.0, rng_seed=0)
+        with pytest.raises(ValueError, match="budget"):
+            RewardModel.hinge([0.5], budget=bad, rng_seed=0)
+
 
 class TestConcaveExpFamily:
     def test_closed_form_mean(self):
@@ -214,6 +226,13 @@ class TestConcaveExpFamily:
             RewardModel.concave_exp([0.5], [0.0], rng_seed=0)
         with pytest.raises(ValueError):
             RewardModel.concave_exp([0.5, 0.5], [1.0], rng_seed=0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_parameters(self, bad):
+        with pytest.raises(ValueError, match="thetas"):
+            RewardModel.concave_exp([0.5], [bad], rng_seed=0)
+        with pytest.raises(ValueError, match="success_probs"):
+            RewardModel.concave_exp([bad], [1.0], rng_seed=0)
 
 
 def arm_grid(model, space):

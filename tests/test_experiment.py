@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 
 import numpy as np
 import pytest
@@ -214,6 +215,108 @@ BAD_CONFIGS = [
         id="exact-dp-alpha",
     ),
     pytest.param(dra_dict(max_levels=1), "max_levels must be >= 2", id="max-levels-low"),
+    pytest.param(
+        dra_dict(problem={"resources": 2, "budget": -1.0, "levels": 3}),
+        "problem.budget must be a nonnegative real",
+        id="dra-negative-budget",
+    ),
+    pytest.param(
+        cra_dict(problem={"resources": 2, "budget": math.inf}),
+        "problem.budget must be a nonnegative real",
+        id="cra-infinite-budget",
+    ),
+    pytest.param(
+        {
+            "mode": "oracle-check",
+            "seed": 0,
+            "problem": {"resources": 1, "budget": -1.0},
+            "rewards": {"family": "table", "probs": [[0.5, 0.5]]},
+        },
+        "problem.budget must be a nonnegative real",
+        id="oracle-check-negative-budget",
+    ),
+    pytest.param(
+        cra_dict(
+            rewards={
+                "family": "concave_exp",
+                "thetas": [0.8, 0.0],
+                "success_probs": [0.9, 0.7],
+            }
+        ),
+        "rewards.thetas must be positive",
+        id="concave-theta-zero",
+    ),
+    pytest.param(
+        cra_dict(
+            rewards={
+                "family": "concave_exp",
+                "thetas": [0.8, 0.5],
+                "success_probs": [0.9, 1.5],
+            }
+        ),
+        r"rewards.success_probs must lie in \[0, 1\]",
+        id="success-prob-too-big",
+    ),
+    pytest.param(
+        dra_dict(problem={"resources": 2, "budget": 2.0, "levels": 2}),
+        "rewards.probs must have .*columns",
+        id="probs-columns-mismatch",
+    ),
+    pytest.param(
+        cra_dict(rewards={"family": "hinge", "thetas": [0.6]}),
+        "rewards.thetas must have one entry per resource",
+        id="thetas-count-mismatch",
+    ),
+    pytest.param(
+        cra_dict(reference_refinement=1),
+        "reference_refinement must be >= 2",
+        id="reference-refinement-low",
+    ),
+    # Non-finite parameters: NaN fails every comparison, so each range rule
+    # is a membership test that NaN and infinity cannot pass.
+    pytest.param(
+        dra_dict(rewards={"family": "table", "probs": [[0.1, math.nan, 0.6], [0, 0, 0]]}),
+        r"probs entries must lie in \[0, 1\]",
+        id="probs-nan",
+    ),
+    pytest.param(
+        cra_dict(
+            rewards={
+                "family": "concave_exp",
+                "thetas": [math.nan, 0.5],
+                "success_probs": [0.9, 0.7],
+            }
+        ),
+        "rewards.thetas must be positive",
+        id="concave-theta-nan",
+    ),
+    pytest.param(
+        cra_dict(
+            rewards={
+                "family": "concave_exp",
+                "thetas": [0.8, math.inf],
+                "success_probs": [0.9, 0.7],
+            }
+        ),
+        "rewards.thetas must be positive",
+        id="concave-theta-inf",
+    ),
+    pytest.param(
+        cra_dict(
+            rewards={
+                "family": "concave_exp",
+                "thetas": [0.8, 0.5],
+                "success_probs": [math.nan, 0.7],
+            }
+        ),
+        r"rewards.success_probs must lie in \[0, 1\]",
+        id="success-prob-nan",
+    ),
+    pytest.param(
+        cra_dict(rewards={"family": "hinge", "thetas": [0.6, math.nan]}),
+        r"thetas must lie in \(0, 1\] for hinge",
+        id="hinge-theta-nan",
+    ),
 ]
 
 
@@ -553,6 +656,26 @@ class TestCli:
         assert cli_main(["bounds", "--config", path]) == 0
         assert (out / "bounds.csv").exists()
         assert not (out / "aggregate.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv,field",
+        [
+            (["run", "--seed", "-1"], "seed"),
+            (["run", "--jobs", "0"], "jobs"),
+            (["oracle-check", "--seed", "-5"], "seed"),
+            (["oracle-check", "--instances", "0"], "replications"),
+        ],
+        ids=["run-seed", "run-jobs", "check-seed", "check-instances"],
+    )
+    def test_overrides_are_validated_like_fields(self, tmp_path, capsys, argv, field):
+        # a flag is checked by the rule of the config field it sets
+        out = tmp_path / "results"
+        if argv[0] == "run":
+            argv = argv + ["--config", self.write_config(tmp_path, dra_dict())]
+        assert cli_main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and field in err
+        assert not out.exists()
 
     def test_mode_forcing_revalidates(self, tmp_path, capsys):
         # cra configs carry no levels, which the bounds mode requires
