@@ -5,7 +5,6 @@ closed-form reward environments and regret bound evaluators."""
 from .analysis import (
     BoundParams,
     CoverageObserver,
-    CoverageReport,
     EnumerationInfeasibleError,
     GapReport,
     ReferenceInterval,
@@ -14,7 +13,6 @@ from .analysis import (
     compute_continuous_reference,
     compute_gaps,
     compute_opt,
-    coverage_diagnostic,
     dependent_regret_bound,
     independent_regret_bound,
     regret_series,
@@ -27,9 +25,6 @@ from .core import (
     Allocation,
     ArmId,
     ProblemConfig,
-    arm_at,
-    arm_index,
-    is_feasible,
     iter_feasible_levels,
 )
 from .environment import RewardModel
@@ -44,11 +39,7 @@ from .experiment import (
 from .learner import (
     ArmStats,
     RunTrace,
-    UcbVector,
-    compute_ucb,
     run,
-    select_allocation,
-    update,
 )
 from .oracle import (
     CoinFlipOracle,
@@ -59,7 +50,6 @@ from .oracle import (
     allocation_value,
     build_solver,
     solve_exact_dp,
-    solve_greedy,
 )
 
 __version__ = "0.1.0"
@@ -73,7 +63,6 @@ __all__ = [
     "CoinFlipOracle",
     "ConfigurationError",
     "CoverageObserver",
-    "CoverageReport",
     "DiscretizationPlan",
     "EnumerationInfeasibleError",
     "ExactDpSolver",
@@ -91,19 +80,13 @@ __all__ = [
     "RewardParams",
     "RunTrace",
     "ScalingReport",
-    "UcbVector",
     "allocation_value",
-    "arm_at",
-    "arm_index",
     "build_solver",
     "compute_continuous_reference",
     "compute_gaps",
     "compute_opt",
-    "compute_ucb",
-    "coverage_diagnostic",
     "dependent_regret_bound",
     "independent_regret_bound",
-    "is_feasible",
     "iter_feasible_levels",
     "plan_discretization",
     "regret_series",
@@ -111,10 +94,7 @@ __all__ = [
     "run_discretized",
     "run_experiment",
     "scaling_check",
-    "select_allocation",
     "solve_exact_dp",
-    "solve_greedy",
     "split_discretization_regret",
-    "update",
     "__version__",
 ]

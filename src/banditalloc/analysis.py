@@ -104,16 +104,6 @@ class ScalingReport:
     passed: bool
 
 
-@dataclass(frozen=True)
-class CoverageReport:
-    """Rounds whose start-of-round statistics had some arm outside its
-    confidence interval, versus the theory's expected total."""
-
-    violations: np.ndarray  # (T,) bool
-    count: int
-    expected_bound: float  # (pi^2 / 3) * number of arms
-
-
 def compute_opt(model: RewardModel, cfg: ProblemConfig) -> float:
     """Best expected total reward of any feasible allocation."""
     return ExactDpSolver(cfg).solve(model.mean_matrix(cfg.space)).value
@@ -346,38 +336,14 @@ def scaling_check(
     )
 
 
-def _outside_interval(emp_means, mu, radii) -> np.ndarray:
-    """Which arms' empirical means sit outside their confidence interval,
-    |emp - true| >= radius. Untried arms have an infinite radius and never do."""
-    return np.abs(emp_means - mu) >= radii
-
-
-def coverage_diagnostic(trace: RunTrace, model: RewardModel) -> CoverageReport:
-    """Count rounds where some arm's empirical mean sat outside its
-    confidence interval (|emp - true| >= radius) at the start of the round.
-
-    Requires a trace recorded with record_internals=True. The theory
-    predicts at most (pi^2 / 3) * arm_count such rounds in expectation,
-    independent of the horizon.
-    """
-    if trace.emp_snapshots is None or trace.radius_snapshots is None:
-        raise ValueError("trace was recorded without internals")
-    mu = model.mean_matrix(trace.config.space)
-    violations = _outside_interval(
-        trace.emp_snapshots, mu, trace.radius_snapshots
-    ).any(axis=(1, 2))
-    return CoverageReport(
-        violations=violations,
-        count=int(violations.sum()),
-        expected_bound=(math.pi**2 / 3.0) * trace.config.arm_count,
-    )
-
-
 class CoverageObserver:
-    """Streaming version of coverage_diagnostic for long runs.
+    """Count the rounds whose start-of-round statistics had some arm's
+    empirical mean outside its confidence interval, |emp - true| >= radius.
+    Untried arms have an infinite radius and never count.
 
-    Attach as the runner's observer to count coverage violations without
-    storing per-round snapshots. Holds the true means, so it lives strictly
+    Attach as the runner's observer; nothing per round is stored. The theory
+    predicts at most (pi^2 / 3) * arm_count such rounds in expectation,
+    independent of the horizon. Holds the true means, so it lives strictly
     on the analysis side of the learner/analysis wall.
     """
 
@@ -388,5 +354,5 @@ class CoverageObserver:
 
     def __call__(self, t: int, emp_means: np.ndarray, radii: np.ndarray) -> None:
         self.rounds += 1
-        if _outside_interval(emp_means, self._mu, radii).any():
+        if (np.abs(emp_means - self._mu) >= radii).any():
             self.count += 1

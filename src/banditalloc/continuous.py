@@ -19,7 +19,7 @@ import numpy as np
 from .core import ActionSpace, ProblemConfig
 from .environment import RewardModel
 from .learner import RunTrace, run
-from .oracle import OracleSpec, _SolverBase, build_solver
+from .oracle import OracleSpec, build_solver
 
 # Hard ceiling on grid size; beyond this the per-arm exploration cost
 # dominates anything the finer pitch could recover.
@@ -36,10 +36,6 @@ class DiscretizationPlan:
     levels: int
     grid: ActionSpace
     capped: bool
-
-    @property
-    def max_value(self) -> float:
-        return self.grid.max_value
 
 
 def plan_discretization(

@@ -2,7 +2,8 @@
 
 Everything here is an immutable value object: budget-level spaces, problem
 instances, base arms (resource, level) and allocations. The only operations
-are arm indexing and budget feasibility.
+are the budget in integer level units and the enumeration of the level
+vectors that fit it.
 """
 
 from __future__ import annotations
@@ -12,9 +13,8 @@ from typing import Iterator
 
 import numpy as np
 
-# Absolute tolerance on budget sums over discretized grids; absorbs the float
-# error accumulated in i*pitch level values. Native integer spaces compare
-# exactly.
+# Absolute tolerance when a grid budget is converted to integer level units;
+# absorbs the float error in budget / pitch.
 BUDGET_TOL = 1e-9
 
 
@@ -111,44 +111,6 @@ class ProblemConfig:
     @property
     def arm_count(self) -> int:
         return self.resources * self.space.n
-
-
-def arm_index(arm: ArmId, space: ActionSpace, resources: int | None = None) -> int:
-    """Flat row-major index (k-1)*n + a, bijective over the resources*n arms."""
-    if arm.k < 1 or (resources is not None and arm.k > resources):
-        raise ValueError(f"resource index {arm.k} out of range")
-    if not 0 <= arm.a < space.n:
-        raise ValueError(f"level index {arm.a} outside 0..{space.n - 1}")
-    return (arm.k - 1) * space.n + arm.a
-
-
-def arm_at(index: int, space: ActionSpace, resources: int) -> ArmId:
-    """Inverse of arm_index."""
-    if not 0 <= index < resources * space.n:
-        raise ValueError(f"flat index {index} outside 0..{resources * space.n - 1}")
-    return ArmId(k=index // space.n + 1, a=index % space.n)
-
-
-def is_feasible(alloc: Allocation, cfg: ProblemConfig) -> bool:
-    """Whether the allocation's total budget stays within cfg.budget.
-
-    Grid spaces get an absolute 1e-9 tolerance on the value sum; native
-    integer spaces compare exactly.
-    """
-    levels = alloc.levels
-    if len(levels) != cfg.resources:
-        raise ValueError(
-            f"allocation has {len(levels)} entries for {cfg.resources} resources"
-        )
-    for lv in levels:
-        if not 0 <= lv < cfg.space.n:
-            raise ValueError(f"level {lv} outside 0..{cfg.space.n - 1}")
-    if cfg.space.is_grid:
-        total = 0.0
-        for lv in levels:
-            total += lv * cfg.space.pitch
-        return total <= cfg.budget + BUDGET_TOL
-    return sum(levels) <= cfg.budget
 
 
 def iter_feasible_levels(cfg: ProblemConfig) -> Iterator[tuple[int, ...]]:

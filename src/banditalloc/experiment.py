@@ -405,6 +405,8 @@ def _check_config(config: ExperimentConfig) -> None:
             raise ConfigurationError("field problem.budget must be positive for cra")
     if mode in ("dra", "cra") and not config.horizons:
         raise ConfigurationError(f"field horizons is required for mode {mode}")
+    if mode == "cra" and config.horizons[0] < 2:
+        raise ConfigurationError("field horizons must be >= 2 for mode cra so ln T > 0")
 
     with _field_errors("field problem."):
         cfg = _native_config(config)
@@ -679,7 +681,7 @@ def _run_bandit_modes(config: ExperimentConfig, out_dir: Path) -> ExperimentSumm
         normalized = (
             float(np.mean(finals_arr))
             / (horizon ** (2.0 / 3.0) * math.log(horizon) ** (1.0 / 3.0))
-            if epsilon is not None and horizon >= 2
+            if epsilon is not None
             else None
         )
         row = AggregateRow(
@@ -746,18 +748,13 @@ def _run_oracle_check(config: ExperimentConfig, out_dir: Path) -> ExperimentSumm
             space=ActionSpace.integer_levels(levels),
         )
         dp = ExactDpSolver(cfg).solve(means)
-        best_v = -np.inf
-        best_u = None
-        best_l = None
-        for lv in iter_feasible_levels(cfg):
-            v = allocation_value(means, lv)
-            u = sum(lv)
-            if (
-                v > best_v
-                or (v == best_v and u < best_u)
-                or (v == best_v and u == best_u and lv < best_l)
-            ):
-                best_v, best_u, best_l = v, u, lv
+        # The DP's tie order: the best value, then the fewest units, then
+        # the lexicographically smallest level vector.
+        best_l = min(
+            iter_feasible_levels(cfg),
+            key=lambda lv: (-allocation_value(means, lv), sum(lv), lv),
+        )
+        best_v = allocation_value(means, best_l)
         match = dp.value == best_v and dp.allocation.levels == best_l
         all_match = all_match and match
         greedy = GreedySolver(cfg).solve(means)

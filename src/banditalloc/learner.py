@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Allocation, ProblemConfig
+from .core import ProblemConfig
 from .environment import RewardModel
 from .oracle import _SolverBase, allocation_value
 
@@ -39,21 +39,6 @@ class ArmStats:
 
     counts: np.ndarray  # (K, n) int64, zero-initialized
     emp_means: np.ndarray  # (K, n) float64, 0 wherever the count is 0
-
-    @classmethod
-    def fresh(cls, resources: int, levels: int) -> "ArmStats":
-        return cls(
-            counts=np.zeros((resources, levels), dtype=np.int64),
-            emp_means=np.zeros((resources, levels)),
-        )
-
-
-@dataclass(frozen=True)
-class UcbVector:
-    """Optimistic value matrix handed to the solver, plus the radii behind it."""
-
-    upper: np.ndarray  # (K, n), min(1, emp_mean + radius)
-    radii: np.ndarray  # (K, n), +inf on untried arms
 
 
 def _radii_into(
@@ -74,59 +59,22 @@ def _clamp_upper(emp_means, radii, out: np.ndarray) -> np.ndarray:
     return np.minimum(out, 1.0, out=out)
 
 
-def compute_ucb(stats: ArmStats, t: int) -> UcbVector:
-    """Confidence radii and clamped optimistic means at round t (t >= 1)."""
-    if t < 1:
-        raise ValueError(f"round index starts at 1, got {t}")
-    counts = stats.counts
-    radii = np.full(counts.shape, np.inf)
-    _radii_into(radii, 2.0 * counts, counts > 0, 3.0 * np.log(t))
-    upper = _clamp_upper(stats.emp_means, radii, np.empty(radii.shape))
-    return UcbVector(upper=upper, radii=radii)
-
-
-def update(stats: ArmStats, allocation: Allocation, rewards: np.ndarray) -> ArmStats:
-    """Fold one round of per-resource rewards into the statistics (in place).
-
-    Uses the incremental mean update mean += (reward - mean) / count, so a
-    run's statistics never depend on when you read them.
-    """
-    levels = np.asarray(allocation.levels, dtype=np.int64)
-    rewards = np.asarray(rewards, dtype=np.float64)
-    if levels.shape != rewards.shape:
-        raise ValueError(
-            f"got {rewards.shape[0] if rewards.ndim else 0} rewards for "
-            f"{levels.shape[0]} resources"
-        )
-    if np.any(rewards < 0.0) or np.any(rewards > 1.0):
-        raise ValueError("rewards outside [0, 1] violate the environment contract")
-    _fold(stats.counts, stats.emp_means, levels.tolist(), rewards.tolist())
-    return stats
-
-
-def _fold(counts, emp_means, levels, rewards, twice_counts=None) -> int:
-    """Fold one reward per resource into its pulled arm, keeping the float
-    twice_counts = 2 count alongside when given; returns how many of those
-    arms were untried. A round touches one cell per resource, so the cells
-    are updated one at a time rather than through fancy indexing."""
+def _fold(counts, emp_means, levels, rewards, twice_counts) -> int:
+    """Fold one reward per resource into its pulled arm as the running mean
+    mean += (reward - mean) / count, keeping the float twice_counts =
+    2 count alongside; returns how many of those arms were untried. A round
+    touches one cell per resource, so the cells are written one at a time
+    rather than through fancy indexing."""
     first_pulls = 0
     for k, (a, reward) in enumerate(zip(levels, rewards)):
         seen = counts.item(k, a) + 1
         counts[k, a] = seen
-        if twice_counts is not None:
-            twice_counts[k, a] = 2.0 * seen
+        twice_counts[k, a] = 2.0 * seen
         prev = emp_means.item(k, a)
         emp_means[k, a] = prev + (reward - prev) / seen
         if seen == 1:
             first_pulls += 1
     return first_pulls
-
-
-def select_allocation(stats: ArmStats, t: int, solver: _SolverBase) -> Allocation:
-    """The allocation the optimistic values make the solver pick at round t."""
-    ucb = compute_ucb(stats, t)
-    levels = solver.solve_levels(ucb.upper)
-    return Allocation(tuple(int(a) for a in levels))
 
 
 @dataclass
@@ -144,10 +92,6 @@ class RunTrace:
 
     def __len__(self) -> int:
         return self.expected.shape[0]
-
-    @property
-    def cumulative_expected(self) -> np.ndarray:
-        return np.cumsum(self.expected)
 
 
 def _snapshot_observer(emp_snap, rad_snap, then=None):
@@ -218,9 +162,9 @@ def run(
     counts = np.zeros((resources, n), dtype=np.int64)
     emp_means = np.zeros((resources, n))
     # The radii live in one buffer that starts at +inf; each round rewrites
-    # the tried arms from 2 count (kept as floats, like compute_ucb's 2.0 * counts)
-    # and 3 ln t, which is evaluated per chunk of rounds: np.log over an array
-    # gives the same doubles as np.log round by round.
+    # the tried arms from 2 count (kept as floats) and 3 ln t, which is
+    # evaluated per chunk of rounds: np.log over an array gives the same
+    # doubles as np.log round by round.
     twice_counts = np.zeros((resources, n))
     tried = np.zeros((resources, n), dtype=bool)
     untried = tried.size

@@ -343,11 +343,6 @@ def solve_exact_dp(means: np.ndarray, cfg: ProblemConfig) -> OracleResult:
     return ExactDpSolver(cfg).solve(means)
 
 
-def solve_greedy(means: np.ndarray, cfg: ProblemConfig) -> OracleResult:
-    """One-shot greedy solve."""
-    return GreedySolver(cfg).solve(means)
-
-
 def build_solver(spec: OracleSpec, cfg: ProblemConfig, seed: int = 0) -> _SolverBase:
     """Construct the solver a declared oracle describes, coin-wrapped when
     beta < 1."""

@@ -16,7 +16,6 @@ from banditalloc import (
     compute_continuous_reference,
     compute_gaps,
     compute_opt,
-    coverage_diagnostic,
     dependent_regret_bound,
     independent_regret_bound,
     regret_series,
@@ -39,7 +38,10 @@ def stub_trace(expected, cfg):
         rewards=np.zeros((horizon, cfg.resources)),
         expected=np.asarray(expected, dtype=np.float64),
         config=cfg,
-        stats=ArmStats.fresh(cfg.resources, cfg.space.n),
+        stats=ArmStats(
+            np.zeros((cfg.resources, cfg.space.n), dtype=np.int64),
+            np.zeros((cfg.resources, cfg.space.n)),
+        ),
     )
 
 
@@ -326,14 +328,24 @@ class TestScalingCheck:
             scaling_check({100: 1.0, 1000: 1.0, 10_000: 1.0}, slack=-0.1)
 
 
+def violating_rounds(trace, model):
+    """Rounds whose recorded start-of-round statistics had some arm outside
+    its confidence interval, |emp - true| >= radius."""
+    mu = model.mean_matrix(trace.config.space)
+    outside = np.abs(trace.emp_snapshots - mu) >= trace.radius_snapshots
+    return outside.any(axis=(1, 2))
+
+
 class TestCoverage:
     def test_deterministic_instance_never_violates(self):
         cfg = native_cfg()
         model = RewardModel.table([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]], rng_seed=0)
-        trace = run(model, ExactDpSolver(cfg), cfg, 500, record_internals=True)
-        report = coverage_diagnostic(trace, model)
-        assert report.count == 0
-        assert report.expected_bound == pytest.approx((math.pi**2 / 3) * 6)
+        observer = CoverageObserver(model.mean_matrix(cfg.space))
+        trace = run(
+            model, ExactDpSolver(cfg), cfg, 500, record_internals=True, observer=observer
+        )
+        assert observer.count == 0
+        assert not violating_rounds(trace, model).any()
 
     def test_streaming_observer_matches_batch(self):
         cfg = native_cfg()
@@ -342,34 +354,21 @@ class TestCoverage:
         trace = run(
             model, ExactDpSolver(cfg), cfg, 800, record_internals=True, observer=observer
         )
-        report = coverage_diagnostic(trace, model)
-        assert observer.count == report.count
+        assert observer.count == int(violating_rounds(trace, model).sum())
         assert observer.rounds == 800
 
     def test_handcrafted_violation(self):
-        cfg = native_cfg(resources=1, budget=1.0, n=2)
-        model = RewardModel.table([[0.5, 0.5]], rng_seed=0)
-        trace = stub_trace([0.5, 0.5], cfg)
-        emp = np.zeros((2, 1, 2))
-        radii = np.full((2, 1, 2), np.inf)
-        emp[1, 0, 0] = 0.9  # off by 0.4 with radius 0.1: a violation
-        radii[1, 0, 0] = 0.1
-        trace.emp_snapshots = emp
-        trace.radius_snapshots = radii
-        report = coverage_diagnostic(trace, model)
-        assert report.violations.tolist() == [False, True]
-        assert report.count == 1
-
-    def test_requires_internals(self):
-        cfg = native_cfg(resources=1, budget=1.0, n=2)
-        model = RewardModel.table([[0.5, 0.5]], rng_seed=0)
-        with pytest.raises(ValueError):
-            coverage_diagnostic(stub_trace([0.5], cfg), model)
+        observer = CoverageObserver(np.array([[0.5, 0.5]]))
+        emp = np.zeros((1, 2))
+        radii = np.full((1, 2), np.inf)
+        observer(1, emp, radii)
+        assert observer.count == 0
+        emp[0, 0] = 0.9  # off by 0.4 with radius 0.1: a violation
+        radii[0, 0] = 0.1
+        observer(2, emp, radii)
+        assert observer.count == 1 and observer.rounds == 2
 
     def test_untried_arms_cannot_violate(self):
-        cfg = native_cfg(resources=1, budget=1.0, n=2)
-        model = RewardModel.table([[0.5, 0.5]], rng_seed=0)
-        trace = stub_trace([0.5], cfg)
-        trace.emp_snapshots = np.zeros((1, 1, 2))
-        trace.radius_snapshots = np.full((1, 1, 2), np.inf)
-        assert coverage_diagnostic(trace, model).count == 0
+        observer = CoverageObserver(np.array([[0.5, 0.5]]))
+        observer(1, np.zeros((1, 2)), np.full((1, 2), np.inf))
+        assert observer.count == 0

@@ -62,7 +62,7 @@ class TestPlanDiscretization:
     def test_grid_spans_budget(self):
         for horizon in (5, 333, 9999):
             plan = plan_discretization(1.0, 2.5, 1.0, 3, horizon)
-            assert abs(plan.max_value - 2.5) <= 1e-9
+            assert abs(plan.grid.max_value - 2.5) <= 1e-9
             assert plan.pitch <= plan.pitch_target * (1 + 1e-9)
 
     def test_level_ceiling_caps_and_warns(self):

@@ -1,16 +1,6 @@
-import numpy as np
 import pytest
 
-from banditalloc import (
-    ActionSpace,
-    Allocation,
-    ArmId,
-    ProblemConfig,
-    arm_at,
-    arm_index,
-    is_feasible,
-    iter_feasible_levels,
-)
+from banditalloc import ActionSpace, ProblemConfig, iter_feasible_levels
 
 
 def make_cfg(resources=3, budget=5.0, n=4):
@@ -91,43 +81,14 @@ class TestProblemConfig:
             )
 
 
-class TestArmIndexing:
-    def test_row_major_examples(self):
-        space = ActionSpace.integer_levels(4)
-        assert arm_index(ArmId(1, 0), space) == 0
-        assert arm_index(ArmId(2, 1), space) == 5
-        assert arm_index(ArmId(3, 3), space, resources=3) == 11  # last arm = K*n - 1
-
-    def test_bijection(self):
-        space = ActionSpace.integer_levels(4)
-        seen = set()
-        for k in range(1, 4):
-            for a in range(4):
-                idx = arm_index(ArmId(k, a), space, resources=3)
-                assert arm_at(idx, space, resources=3) == ArmId(k, a)
-                seen.add(idx)
-        assert seen == set(range(12))
-
-    def test_range_errors(self):
-        space = ActionSpace.integer_levels(4)
-        with pytest.raises(ValueError):
-            arm_index(ArmId(0, 0), space)
-        with pytest.raises(ValueError):
-            arm_index(ArmId(4, 0), space, resources=3)
-        with pytest.raises(ValueError):
-            arm_index(ArmId(1, 4), space)
-        with pytest.raises(ValueError):
-            arm_at(-1, space, resources=3)
-        with pytest.raises(ValueError):
-            arm_at(12, space, resources=3)
-
-
 class TestFeasibility:
+    """A level vector is feasible exactly when the enumeration yields it."""
+
     def test_native_exact_comparison(self):
-        cfg = make_cfg(resources=2, budget=2.0, n=3)
-        assert is_feasible(Allocation((1, 1)), cfg)
-        assert is_feasible(Allocation((0, 2)), cfg)
-        assert not is_feasible(Allocation((2, 1)), cfg)
+        feasible = set(iter_feasible_levels(make_cfg(resources=2, budget=2.0, n=3)))
+        assert (1, 1) in feasible
+        assert (0, 2) in feasible
+        assert (2, 1) not in feasible
 
     def test_all_zeros_always_feasible(self):
         for cfg in (
@@ -136,23 +97,24 @@ class TestFeasibility:
                 resources=3, budget=0.5, space=ActionSpace.uniform_grid(9, 0.7)
             ),
         ):
-            assert is_feasible(Allocation((0,) * cfg.resources), cfg)
+            assert (0,) * cfg.resources in set(iter_feasible_levels(cfg))
 
     def test_grid_tolerance(self):
-        # 0.1 + 0.2 = 0.30000000000000004 in floats; the 1e-9 tolerance keeps
+        # 0.3 / 0.1 = 2.9999999999999996 in floats; the 1e-9 tolerance keeps
         # the exact-budget allocation feasible.
         cfg = ProblemConfig(
             resources=2, budget=0.3, space=ActionSpace.uniform_grid(4, 0.1)
         )
-        assert is_feasible(Allocation((1, 2)), cfg)
-        assert not is_feasible(Allocation((2, 2)), cfg)
+        feasible = set(iter_feasible_levels(cfg))
+        assert (1, 2) in feasible
+        assert (2, 2) not in feasible
 
     def test_shape_and_range_errors(self):
-        cfg = make_cfg(resources=2, budget=2.0, n=3)
-        with pytest.raises(ValueError):
-            is_feasible(Allocation((1,)), cfg)
-        with pytest.raises(ValueError):
-            is_feasible(Allocation((1, 3)), cfg)
+        # wrong-length vectors and levels outside the space are never yielded
+        feasible = set(iter_feasible_levels(make_cfg(resources=2, budget=2.0, n=3)))
+        assert (1,) not in feasible
+        assert (1, 3) not in feasible
+        assert all(len(lv) == 2 and max(lv) < 3 for lv in feasible)
 
 
 def count_allocations(resources: int, n: int, cap: int) -> int:
@@ -190,7 +152,8 @@ class TestEnumeration:
         assert len(allocs) == count_allocations(resources, n, cfg.capacity_units)
         assert len(set(allocs)) == len(allocs)
         for lv in allocs:
-            assert is_feasible(Allocation(lv), cfg)
+            assert len(lv) == resources and 0 <= min(lv) and max(lv) < n
+            assert sum(lv) <= cfg.capacity_units
 
     def test_grid_count_uses_units(self):
         cfg = ProblemConfig(

@@ -205,6 +205,9 @@ BAD_CONFIGS = [
     pytest.param(dra_dict(horizons=[50, 50]), "strictly increasing", id="horizons-dup"),
     pytest.param(dra_dict(horizons=[50, 0]), r"horizons\[1\]", id="horizon-zero"),
     pytest.param(dra_dict(horizons=[]), "horizons is required", id="horizons-empty"),
+    pytest.param(
+        cra_dict(horizons=[1, 50]), "horizons must be >= 2 for mode cra", id="cra-horizon-one"
+    ),
     pytest.param(dra_dict(replications=0), "replications must be >= 1", id="zero-reps"),
     pytest.param(dra_dict(jobs=0), "jobs must be >= 1", id="zero-jobs"),
     pytest.param(dra_dict(smoothness=0), "smoothness must be positive", id="zero-smoothness"),
@@ -675,6 +678,15 @@ class TestCli:
         assert cli_main(argv + ["--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "config error" in err and field in err
+        assert not out.exists()
+
+    def test_cra_horizon_one_is_a_config_error(self, tmp_path, capsys):
+        # rejected at parse, before the reference DP runs or out/ is made
+        out = tmp_path / "results"
+        path = self.write_config(tmp_path, cra_dict(horizons=[1, 50], out=str(out)))
+        assert cli_main(["run", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "horizons" in err
         assert not out.exists()
 
     def test_mode_forcing_revalidates(self, tmp_path, capsys):

@@ -5,19 +5,16 @@ import pytest
 
 from banditalloc import (
     ActionSpace,
-    Allocation,
     ArmId,
     ArmStats,
     ExactDpSolver,
     ProblemConfig,
     RewardModel,
     compute_opt,
-    compute_ucb,
     regret_series,
     run,
-    select_allocation,
-    update,
 )
+from banditalloc.learner import _fold
 
 
 def native_cfg(resources=2, budget=2.0, n=3):
@@ -26,85 +23,133 @@ def native_cfg(resources=2, budget=2.0, n=3):
     )
 
 
+def flat_model(resources=2, n=3, p=0.5, seed=0):
+    return RewardModel.table(np.full((resources, n), p), rng_seed=seed)
+
+
+def fresh_stats(resources, levels):
+    return ArmStats(
+        np.zeros((resources, levels), dtype=np.int64), np.zeros((resources, levels))
+    )
+
+
+def fold(stats, levels, rewards):
+    """Fold one round into ``stats`` the way run does."""
+    _fold(stats.counts, stats.emp_means, levels, rewards, 2.0 * stats.counts)
+
+
+def table_3x4(seed=7):
+    model = RewardModel.table(
+        [[0.2, 0.5, 0.6, 0.65], [0.9, 0.3, 0.8, 0.1], [0.05, 0.4, 0.7, 0.95]],
+        rng_seed=seed,
+    )
+    return model, native_cfg(resources=3, budget=5.0, n=4)
+
+
+def expected_radii(levels, n, horizon):
+    """(T, K, n) start-of-round radii sqrt(3 ln t / (2 count)), with the
+    counts rebuilt from the played levels and +inf on untried arms."""
+    resources = levels.shape[1]
+    pulls = np.zeros((horizon, resources, n), dtype=np.int64)
+    pulls[np.arange(horizon)[:, None], np.arange(resources)[None, :], levels] = 1
+    counts = np.cumsum(pulls, axis=0) - pulls  # pulls before round t
+    scaled_log = 3.0 * np.log(np.arange(1, horizon + 1, dtype=np.float64))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        radii = np.sqrt(scaled_log[:, None, None] / (2.0 * counts))
+    radii[counts == 0] = np.inf
+    return radii, counts
+
+
 class TestComputeUcb:
+    """The radii and optimistic values run computes at the start of each round."""
+
     def test_untried_arms_sit_at_the_clamp(self):
-        stats = ArmStats.fresh(2, 3)
-        ucb = compute_ucb(stats, 1)
-        assert np.all(np.isinf(ucb.radii))
-        assert np.all(ucb.upper == 1.0)
+        cfg = native_cfg()
+        trace = run(flat_model(seed=2), ExactDpSolver(cfg), cfg, 1, record_internals=True)
+        assert np.all(np.isinf(trace.radius_snapshots[0]))
+        upper = np.minimum(1.0, trace.emp_snapshots[0] + trace.radius_snapshots[0])
+        assert np.all(upper == 1.0)
 
     def test_radius_formula(self):
-        stats = ArmStats.fresh(1, 2)
-        stats.counts[0, 0] = 6
-        ucb = compute_ucb(stats, 55)
-        assert ucb.radii[0, 0] == pytest.approx(
-            math.sqrt(3.0 * math.log(55) / (2.0 * 6)), rel=1e-12
-        )
-        # twelve observations by the time ln t = 4 gives a unit radius, so
-        # with 6 pulls the radius crosses 1 right around t = e^4
-        assert ucb.radii[0, 0] == pytest.approx(1.0, abs=1e-2)
-        assert np.isinf(ucb.radii[0, 1])
+        model, cfg = table_3x4()
+        horizon = 3000
+        trace = run(model, ExactDpSolver(cfg), cfg, horizon, record_internals=True)
+        want, counts = expected_radii(trace.levels, cfg.space.n, horizon)
+        assert np.array_equal(trace.radius_snapshots, want)
+        assert np.array_equal(np.isinf(want), counts == 0)
 
     def test_clamp_into_unit_interval(self):
-        stats = ArmStats.fresh(1, 2)
-        stats.counts[:] = [[4, 400]]
-        stats.emp_means[:] = [[0.95, 0.2]]
-        ucb = compute_ucb(stats, 100)
-        assert ucb.upper[0, 0] == 1.0  # 0.95 + a large radius, clamped
-        assert ucb.upper[0, 1] == pytest.approx(
-            0.2 + math.sqrt(3 * math.log(100) / 800), rel=1e-12
-        )
+        # every round plays the solver's choice on min(1, emp + radius)
+        model, cfg = table_3x4()
+        trace = run(model, ExactDpSolver(cfg), cfg, 400, record_internals=True)
+        raw = trace.emp_snapshots + trace.radius_snapshots
+        assert (raw > 1.0).any() and (raw < 1.0).any()  # the clamp binds somewhere
+        upper = np.minimum(1.0, raw)
+        solver = ExactDpSolver(cfg)
+        for t in range(len(trace)):
+            assert solver.solve_levels(upper[t]).tolist() == trace.levels[t].tolist()
 
     def test_radii_shrink_with_counts_and_grow_with_time(self):
-        stats = ArmStats.fresh(1, 2)
-        stats.counts[:] = [[10, 40]]
-        ucb = compute_ucb(stats, 50)
-        assert ucb.radii[0, 0] > ucb.radii[0, 1]
-        assert compute_ucb(stats, 500).radii[0, 0] > ucb.radii[0, 0]
-
-    def test_round_index_validation(self):
-        with pytest.raises(ValueError):
-            compute_ucb(ArmStats.fresh(1, 2), 0)
+        model, cfg = table_3x4()
+        trace = run(model, ExactDpSolver(cfg), cfg, 600, record_internals=True)
+        radii = trace.radius_snapshots
+        _, counts = expected_radii(trace.levels, cfg.space.n, len(trace))
+        tried = counts > 0
+        # within a round, more pulls mean a smaller radius
+        for t in (50, 300, 599):
+            order = np.argsort(counts[t][tried[t]], kind="stable")
+            assert np.all(np.diff(radii[t][tried[t]][order]) <= 0)
+        # a tried arm that is not pulled sees its radius grow next round
+        idle = tried[:-1] & (counts[:-1] == counts[1:])
+        assert idle.sum() > 1000
+        assert np.all(radii[1:][idle] > radii[:-1][idle])
 
 
 class TestUpdate:
+    """The statistics fold run applies once per round."""
+
     def test_first_observation_is_the_mean(self):
-        stats = ArmStats.fresh(2, 3)
-        update(stats, Allocation((1, 2)), np.array([0.7, 0.1]))
+        stats = fresh_stats(2, 3)
+        fold(stats, [1, 2], [0.7, 0.1])
         assert stats.counts[0, 1] == 1 and stats.counts[1, 2] == 1
         assert stats.emp_means[0, 1] == 0.7
         assert stats.emp_means[1, 2] == 0.1
         assert stats.counts.sum() == 2
 
     def test_incremental_mean_is_exact_for_dyadic_rewards(self):
-        stats = ArmStats.fresh(1, 2)
+        stats = fresh_stats(1, 2)
         for reward in (0.5, 1.0, 0.25, 0.25):
-            update(stats, Allocation((1,)), np.array([reward]))
+            fold(stats, [1], [reward])
         assert stats.counts[0, 1] == 4
         assert stats.emp_means[0, 1] == 0.5
 
     def test_matches_running_mean(self):
         rng = np.random.default_rng(3)
         rewards = rng.random(200)
-        stats = ArmStats.fresh(1, 1)
+        stats = fresh_stats(1, 1)
         for r in rewards:
-            update(stats, Allocation((0,)), np.array([r]))
+            fold(stats, [0], [r])
         assert stats.emp_means[0, 0] == pytest.approx(rewards.mean(), rel=1e-12)
 
     def test_zero_rewards_leave_mean_at_zero(self):
-        stats = ArmStats.fresh(1, 2)
+        stats = fresh_stats(1, 2)
         for _ in range(10):
-            update(stats, Allocation((0,)), np.array([0.0]))
+            fold(stats, [0], [0.0])
         assert stats.emp_means[0, 0] == 0.0
 
     def test_contract_violations_raise(self):
-        stats = ArmStats.fresh(2, 3)
-        with pytest.raises(ValueError):
-            update(stats, Allocation((0, 0)), np.array([0.5, 1.1]))
-        with pytest.raises(ValueError):
-            update(stats, Allocation((0, 0)), np.array([-0.1, 0.5]))
-        with pytest.raises(ValueError):
-            update(stats, Allocation((0, 0)), np.array([0.5]))
+        # rewards outside [0, 1] break the environment contract, and run
+        # refuses to fold them
+        cfg = native_cfg()
+        for bad in (1.1, -0.1):
+
+            class OutOfRange(RewardModel):
+                def rewards_from_uniforms(self, levels, values, u):
+                    return np.full(levels.shape, bad)
+
+            model = OutOfRange(family="table", rng_seed=0, probs=np.full((2, 3), 0.5))
+            with pytest.raises(AssertionError, match=r"outside \[0, 1\]"):
+                run(model, ExactDpSolver(cfg), cfg, 5)
 
 
 class TestSelectAllocation:
@@ -112,20 +157,17 @@ class TestSelectAllocation:
         # every arm clamps to 1, so all full-budget allocations tie on value
         # and the solver's tie order picks the cheapest: spend nothing
         cfg = native_cfg()
-        alloc = select_allocation(ArmStats.fresh(2, 3), 1, ExactDpSolver(cfg))
-        assert alloc.levels == (0, 0)
+        trace = run(flat_model(seed=3), ExactDpSolver(cfg), cfg, 1)
+        assert tuple(trace.levels[0]) == (0, 0)
 
     def test_learned_means_drive_the_choice(self):
         cfg = native_cfg()
-        stats = ArmStats.fresh(2, 3)
-        stats.counts[:] = 10_000  # radii ~ 0.02, too small to flip the order
-        stats.emp_means[:] = [[0.0, 0.5, 0.6], [0.0, 0.3, 0.9]]
-        alloc = select_allocation(stats, 10_000, ExactDpSolver(cfg))
-        assert alloc.levels == (0, 2)
-
-
-def flat_model(resources=2, n=3, p=0.5, seed=0):
-    return RewardModel.table(np.full((resources, n), p), rng_seed=seed)
+        emp = np.array([[0.0, 0.5, 0.6], [0.0, 0.3, 0.9]])
+        # 10,000 pulls each by round 10,000: radii ~ 0.02, too small to flip
+        # the order
+        radii = np.full((2, 3), math.sqrt(3.0 * math.log(10_000) / (2.0 * 10_000)))
+        levels = ExactDpSolver(cfg).solve_levels(np.minimum(1, emp + radii))
+        assert levels.tolist() == [0, 2]
 
 
 class TestRun:
@@ -250,7 +292,8 @@ class TestRun:
 
 
 class TestStepApi:
-    """select_allocation -> sample_reward -> update replays run bit for bit."""
+    """sample_reward, the pointwise reward of one arm at one round, returns
+    the reward run observed for that arm and round, bit for bit."""
 
     @pytest.mark.parametrize(
         "model,cfg,horizon",
@@ -281,21 +324,7 @@ class TestStepApi:
     )
     def test_step_loop_replays_run(self, model, cfg, horizon):
         trace = run(model, ExactDpSolver(cfg), cfg, horizon)
-        solver = ExactDpSolver(cfg)
-        stats = ArmStats.fresh(cfg.resources, cfg.space.n)
-        levels, rewards = [], []
         for t in range(1, horizon + 1):
-            alloc = select_allocation(stats, t, solver)
-            observed = np.array(
-                [
-                    model.sample_reward(ArmId(k + 1, a), cfg.space, t)
-                    for k, a in enumerate(alloc.levels)
-                ]
-            )
-            update(stats, alloc, observed)
-            levels.append(alloc.levels)
-            rewards.append(observed)
-        assert np.array_equal(np.array(levels), trace.levels)
-        assert np.array_equal(np.array(rewards), trace.rewards)
-        assert np.array_equal(stats.counts, trace.stats.counts)
-        assert np.array_equal(stats.emp_means, trace.stats.emp_means)
+            for k in range(cfg.resources):
+                arm = ArmId(k + 1, int(trace.levels[t - 1, k]))
+                assert model.sample_reward(arm, cfg.space, t) == trace.rewards[t - 1, k]

@@ -15,7 +15,6 @@ from banditalloc import (
     iter_feasible_levels,
     run,
     solve_exact_dp,
-    solve_greedy,
     streams,
 )
 
@@ -243,7 +242,7 @@ class TestGreedy:
         # first takes (k=1, level 1) at gain 0.5, then (k=2, level 1) at 0.3.
         cfg = native_cfg(2, 2.0, 3)
         means = np.array([[0.0, 0.5, 0.6], [0.0, 0.3, 0.9]])
-        res = solve_greedy(means, cfg)
+        res = GreedySolver(cfg).solve(means)
         assert res.allocation.levels == (1, 1)
         assert res.value == 0.8
 
@@ -252,13 +251,13 @@ class TestGreedy:
         # other resource's 0.4/unit single step
         cfg = native_cfg(2, 2.0, 3)
         means = np.array([[0.0, 0.0, 0.9], [0.0, 0.4, 0.4]])
-        res = solve_greedy(means, cfg)
+        res = GreedySolver(cfg).solve(means)
         assert res.allocation.levels == (2, 0)
         assert res.value == 0.9
 
     def test_zero_means_spend_nothing(self):
         cfg = native_cfg(2, 2.0, 3)
-        res = solve_greedy(np.zeros((2, 3)), cfg)
+        res = GreedySolver(cfg).solve(np.zeros((2, 3)))
         assert res.allocation.levels == (0, 0)
 
     def test_never_beats_exact_and_stays_feasible(self):
@@ -282,7 +281,7 @@ class TestGreedy:
     def test_tie_prefers_smaller_resource_then_level(self):
         cfg = native_cfg(2, 1.0, 2)
         means = np.array([[0.0, 0.5], [0.0, 0.5]])
-        assert solve_greedy(means, cfg).allocation.levels == (1, 0)
+        assert GreedySolver(cfg).solve(means).allocation.levels == (1, 0)
 
     @pytest.mark.parametrize("seed, values", enumerate(sorted(GREEDY_VALUES)))
     def test_matches_reference_loop(self, seed, values):
