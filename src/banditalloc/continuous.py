@@ -132,10 +132,4 @@ def run_discretized(
         record_internals=record_internals,
         observer=observer,
     )
-    trace.metadata["plan"] = {
-        "pitch_target": plan.pitch_target,
-        "pitch": plan.pitch,
-        "levels": plan.levels,
-        "capped": plan.capped,
-    }
     return trace, plan

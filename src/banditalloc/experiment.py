@@ -20,7 +20,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -130,8 +130,8 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
         try:
-            text = Path(path).read_text()
-        except OSError as exc:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
         try:
             raw = json.loads(text)
@@ -145,39 +145,12 @@ class ExperimentConfig:
         return _parse_config(raw)
 
     def to_dict(self) -> dict:
-        """Lossless dict form; from_dict(to_dict()) == self."""
-        out: dict = {
-            "mode": self.mode,
-            "seed": self.seed,
-            "problem": {
-                "resources": self.problem.resources,
-                "budget": self.problem.budget,
-            },
-            "rewards": {"family": self.rewards.family},
-            "oracle": {
-                "kind": self.oracle.kind,
-                "alpha": self.oracle.alpha,
-                "beta": self.oracle.beta,
-            },
-            "horizons": list(self.horizons),
-            "replications": self.replications,
-            "out": self.out,
-            "jobs": self.jobs,
-            "write_traces": self.write_traces,
-            "smoothness": self.smoothness,
-            "lipschitz": self.lipschitz,
-            "max_levels": self.max_levels,
-            "reference_refinement": self.reference_refinement,
-        }
-        if self.problem.levels is not None:
-            out["problem"]["levels"] = self.problem.levels
-        if self.rewards.probs is not None:
-            out["rewards"]["probs"] = [list(row) for row in self.rewards.probs]
-        if self.rewards.thetas is not None:
-            out["rewards"]["thetas"] = list(self.rewards.thetas)
-        if self.rewards.success_probs is not None:
-            out["rewards"]["success_probs"] = list(self.rewards.success_probs)
-        return out
+        """Lossless dict form; from_dict(to_dict()) == self. Unset optional
+        fields of problem and rewards are left out."""
+        out = asdict(self)
+        for key in ("problem", "rewards"):
+            out[key] = {k: v for k, v in out[key].items() if v is not None}
+        return json.loads(json.dumps(out))  # tuples become lists
 
     def config_hash(self) -> str:
         """sha256 over the science fields only.
@@ -192,6 +165,13 @@ class ExperimentConfig:
         return hashlib.sha256(canon.encode()).hexdigest()
 
 
+# JSON types of the scalar config fields, by their annotation.
+_KINDS = {"int": int, "float": float, "str": str, "bool": bool}
+
+# Lower bounds of integer fields; each default meets its bound.
+_FLOORS = {"replications": 1, "jobs": 1, "max_levels": 2, "reference_refinement": 2}
+
+
 def _require(raw: dict, key: str, kind, path: str):
     if key not in raw:
         raise ConfigurationError(f"missing field {path}{key}")
@@ -200,7 +180,7 @@ def _require(raw: dict, key: str, kind, path: str):
 
 def _typed(value, key: str, kind, path: str):
     if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+        return _float(value, path + key)
     if kind is int and isinstance(value, int) and not isinstance(value, bool):
         return int(value)
     if kind is bool and isinstance(value, bool):
@@ -214,10 +194,36 @@ def _typed(value, key: str, kind, path: str):
     )
 
 
-def _optional(raw: dict, key: str, kind, path: str, default):
-    if key not in raw or raw[key] is None:
-        return default
-    return _typed(raw[key], key, kind, path)
+def _float(value: int | float, name: str) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigurationError(f"field {name} is too large for a float") from None
+
+
+def _scalars(raw: dict, cls, path: str) -> dict:
+    """Constructor arguments for the int, float, str and bool fields of the
+    dataclass ``cls`` found in ``raw``, after rejecting keys that ``cls``
+    does not declare. A field without a default is required; an optional
+    one that is absent or null is left out, so its default applies."""
+    _check_unknown(raw, [f.name for f in fields(cls)], path)
+    args = {}
+    for f in fields(cls):
+        kind = _KINDS.get(f.type.removesuffix(" | None"))
+        if kind is None:
+            continue
+        if f.default is MISSING:
+            args[f.name] = _require(raw, f.name, kind, path)
+        elif raw.get(f.name) is not None:
+            args[f.name] = _typed(raw[f.name], f.name, kind, path)
+    return args
+
+
+def _object(raw: dict, key: str) -> dict:
+    value = raw.get(key)
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"field {key} must be an object")
+    return value
 
 
 def _check_unknown(raw: dict, known: Iterable[str], path: str) -> None:
@@ -246,139 +252,74 @@ def _float_vector(value, key: str, path: str) -> tuple[float, ...]:
     for i, item in enumerate(value):
         if not isinstance(item, (int, float)) or isinstance(item, bool):
             raise ConfigurationError(f"field {path}{key}[{i}] must be a number")
-        out.append(float(item))
+        out.append(_float(item, f"{path}{key}[{i}]"))
     if not out:
         raise ConfigurationError(f"field {path}{key} must not be empty")
     return tuple(out)
 
 
 def _parse_config(raw: dict) -> ExperimentConfig:
-    _check_unknown(
-        raw,
-        (
-            "mode",
-            "seed",
-            "problem",
-            "rewards",
-            "oracle",
-            "horizons",
-            "replications",
-            "out",
-            "jobs",
-            "write_traces",
-            "smoothness",
-            "lipschitz",
-            "max_levels",
-            "reference_refinement",
-        ),
-        "",
-    )
-    mode = _require(raw, "mode", str, "")
+    args = _scalars(raw, ExperimentConfig, "")
+    mode = args["mode"]
     if mode not in MODES:
         raise ConfigurationError(f"field mode must be one of {MODES}, got {mode!r}")
-    seed = _require(raw, "seed", int, "")
-    if seed < 0:
-        raise ConfigurationError("field seed must be nonnegative")
+    # mix_seed keeps 64 bits, so a larger seed would replay seed mod 2**64
+    # under a different config_hash.
+    if not 0 <= args["seed"] < 2**64:
+        raise ConfigurationError("field seed must be nonnegative and below 2**64")
 
-    problem_raw = raw.get("problem")
-    if not isinstance(problem_raw, dict):
-        raise ConfigurationError("field problem must be an object")
-    _check_unknown(problem_raw, ("resources", "budget", "levels"), "problem.")
-    resources = _require(problem_raw, "resources", int, "problem.")
-    budget = _require(problem_raw, "budget", float, "problem.")
-    levels = _optional(problem_raw, "levels", int, "problem.", None)
-    problem = ProblemParams(resources=resources, budget=budget, levels=levels)
+    problem_raw = _object(raw, "problem")
+    args["problem"] = ProblemParams(**_scalars(problem_raw, ProblemParams, "problem."))
 
-    rewards_raw = raw.get("rewards")
-    if not isinstance(rewards_raw, dict):
-        raise ConfigurationError("field rewards must be an object")
-    _check_unknown(
-        rewards_raw, ("family", "probs", "thetas", "success_probs"), "rewards."
-    )
-    family = _require(rewards_raw, "family", str, "rewards.")
+    rewards_raw = _object(raw, "rewards")
+    rewards = _scalars(rewards_raw, RewardParams, "rewards.")
+    family = rewards["family"]
     if family not in ("table", "hinge", "concave_exp"):
         raise ConfigurationError(
             f"field rewards.family must be table, hinge or concave_exp, got {family!r}"
         )
-    probs = None
-    thetas = None
-    success_probs = None
     if family == "table":
         rows = _require(rewards_raw, "probs", list, "rewards.")
-        parsed_rows = []
-        for i, row in enumerate(rows):
-            parsed_rows.append(_float_vector(row, f"probs[{i}]", "rewards."))
-        if not parsed_rows:
+        if not rows:
             raise ConfigurationError("field rewards.probs must not be empty")
-        widths = {len(r) for r in parsed_rows}
-        if len(widths) != 1:
-            raise ConfigurationError("field rewards.probs rows must share one length")
-        probs = tuple(parsed_rows)
-    else:
-        thetas = _float_vector(
-            _require(rewards_raw, "thetas", list, "rewards."), "thetas", "rewards."
+        probs = tuple(
+            _float_vector(row, f"probs[{i}]", "rewards.") for i, row in enumerate(rows)
         )
-        if family == "concave_exp":
-            success_probs = _float_vector(
-                _require(rewards_raw, "success_probs", list, "rewards."),
-                "success_probs",
-                "rewards.",
+        if len({len(r) for r in probs}) != 1:
+            raise ConfigurationError("field rewards.probs rows must share one length")
+        rewards["probs"] = probs
+    else:
+        vectors = ("thetas", "success_probs") if family == "concave_exp" else ("thetas",)
+        for key in vectors:
+            rewards[key] = _float_vector(
+                _require(rewards_raw, key, list, "rewards."), key, "rewards."
             )
-    rewards = RewardParams(
-        family=family, probs=probs, thetas=thetas, success_probs=success_probs
-    )
+    args["rewards"] = RewardParams(**rewards)
 
-    oracle_raw = raw.get("oracle", {})
-    if not isinstance(oracle_raw, dict):
-        raise ConfigurationError("field oracle must be an object")
-    _check_unknown(oracle_raw, ("kind", "alpha", "beta"), "oracle.")
-    alpha = _optional(oracle_raw, "alpha", float, "oracle.", 1.0)
-    beta = _optional(oracle_raw, "beta", float, "oracle.", 1.0)
-    kind = _optional(oracle_raw, "kind", str, "oracle.", "exact_dp")
+    oracle_raw = _object(raw, "oracle") if "oracle" in raw else {}
+    oracle = _scalars(oracle_raw, OracleSpec, "oracle.")
     with _field_errors("field oracle: "):
-        oracle = OracleSpec(alpha=alpha, beta=beta, kind=kind)
+        args["oracle"] = OracleSpec(**oracle)
 
-    horizons_raw = _optional(raw, "horizons", list, "", [])
-    horizons = []
-    for i, h in enumerate(horizons_raw):
-        if not isinstance(h, int) or isinstance(h, bool) or h < 1:
-            raise ConfigurationError(f"field horizons[{i}] must be a positive integer")
-        horizons.append(h)
-    if horizons != sorted(horizons) or len(set(horizons)) != len(horizons):
-        raise ConfigurationError("field horizons must be strictly increasing")
+    if raw.get("horizons") is not None:
+        horizons = _typed(raw["horizons"], "horizons", list, "")
+        for i, h in enumerate(horizons):
+            if not isinstance(h, int) or isinstance(h, bool) or h < 1:
+                raise ConfigurationError(
+                    f"field horizons[{i}] must be a positive integer"
+                )
+        if horizons != sorted(horizons) or len(set(horizons)) != len(horizons):
+            raise ConfigurationError("field horizons must be strictly increasing")
+        args["horizons"] = tuple(horizons)
 
-    replications = _optional(raw, "replications", int, "", 1)
-    if replications < 1:
-        raise ConfigurationError("field replications must be >= 1")
-    jobs = _optional(raw, "jobs", int, "", 1)
-    if jobs < 1:
-        raise ConfigurationError("field jobs must be >= 1")
-    lipschitz = _optional(raw, "lipschitz", float, "", None)
+    for key, floor in _FLOORS.items():
+        if args.get(key, floor) < floor:
+            raise ConfigurationError(f"field {key} must be >= {floor}")
+    lipschitz = args.get("lipschitz")
     if lipschitz is not None and not (math.isfinite(lipschitz) and lipschitz > 0):
         raise ConfigurationError("field lipschitz must be positive")
-    max_levels = _optional(raw, "max_levels", int, "", DEFAULT_MAX_LEVELS)
-    if max_levels < 2:
-        raise ConfigurationError("field max_levels must be >= 2")
-    reference_refinement = _optional(raw, "reference_refinement", int, "", 4096)
-    if reference_refinement < 2:
-        raise ConfigurationError("field reference_refinement must be >= 2")
 
-    config = ExperimentConfig(
-        mode=mode,
-        seed=seed,
-        problem=problem,
-        rewards=rewards,
-        oracle=oracle,
-        horizons=tuple(horizons),
-        replications=replications,
-        out=_optional(raw, "out", str, "", "results"),
-        jobs=jobs,
-        write_traces=_optional(raw, "write_traces", bool, "", False),
-        smoothness=_optional(raw, "smoothness", float, "", 1.0),
-        lipschitz=lipschitz,
-        max_levels=max_levels,
-        reference_refinement=reference_refinement,
-    )
+    config = ExperimentConfig(**args)
     _check_config(config)
     return config
 
@@ -524,11 +465,14 @@ def _bandit_task(payload: tuple) -> tuple[np.ndarray, int]:
 
 
 def _map_ordered(fn, payloads: list, jobs: int) -> Iterator:
-    """Apply fn to payloads, preserving order; jobs > 1 fans out to processes."""
-    if jobs <= 1:
+    """Apply fn to payloads, preserving order. More than one worker fans out
+    to processes; the pool starts every worker at once, so there are never
+    more than the payloads or the CPUs."""
+    workers = min(jobs, len(payloads), os.cpu_count() or 1)
+    if workers <= 1:
         yield from map(fn, payloads)
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(fn, payloads, chunksize=1)
 
 
@@ -536,39 +480,11 @@ def _map_ordered(fn, payloads: list, jobs: int) -> Iterator:
 
 
 @dataclass
-class AggregateRow:
-    """One aggregate CSV row; None cells print blank."""
-
-    horizon: int
-    mean_regret: float
-    std_regret: float
-    theorem1_dep_bound: float | None
-    theorem1_indep_bound: float | None
-    theorem2_normalized: float | None
-    epsilon: float | None
-    levels: int
-    lemma1_violations: float
-
-    def cells(self) -> list:
-        return [
-            self.horizon,
-            self.mean_regret,
-            self.std_regret,
-            self.theorem1_dep_bound,
-            self.theorem1_indep_bound,
-            self.theorem2_normalized,
-            self.epsilon,
-            self.levels,
-            self.lemma1_violations,
-        ]
-
-
-@dataclass
 class ExperimentSummary:
-    """What a run produced: aggregate rows, per-replication finals and the
-    files written."""
+    """What a run produced: aggregate rows (lists in the order of the mode's
+    columns; None cells print blank), per-replication finals and the files
+    written."""
 
-    mode: str
     rows: list = field(default_factory=list)
     rep_finals: dict = field(default_factory=dict)  # horizon -> list[float]
     files: list = field(default_factory=list)
@@ -645,7 +561,7 @@ def _instances(config: ExperimentConfig, model: RewardModel) -> Iterator[tuple]:
 
 
 def _run_bandit_modes(config: ExperimentConfig, out_dir: Path) -> ExperimentSummary:
-    summary = ExperimentSummary(mode=config.mode)
+    summary = ExperimentSummary()
     model0 = build_model(config, rng_seed=0)  # means only; the seed is unused
     if config.write_traces:
         (out_dir / "traces").mkdir(parents=True, exist_ok=True)
@@ -678,24 +594,17 @@ def _run_bandit_modes(config: ExperimentConfig, out_dir: Path) -> ExperimentSumm
             curve_std = np.zeros(horizon)
 
         dep, indep = _instance_bounds(config, cfg, horizon, gaps)
+        mean_regret = float(np.mean(finals_arr))
+        std_regret = _std1(finals_arr)
         normalized = (
-            float(np.mean(finals_arr))
-            / (horizon ** (2.0 / 3.0) * math.log(horizon) ** (1.0 / 3.0))
+            mean_regret / (horizon ** (2.0 / 3.0) * math.log(horizon) ** (1.0 / 3.0))
             if epsilon is not None
             else None
         )
-        row = AggregateRow(
-            horizon=horizon,
-            mean_regret=float(np.mean(finals_arr)),
-            std_regret=_std1(finals_arr),
-            theorem1_dep_bound=dep,
-            theorem1_indep_bound=indep,
-            theorem2_normalized=normalized,
-            epsilon=epsilon,
-            levels=cfg.space.n,
-            lemma1_violations=float(np.mean(coverage)),
+        summary.rows.append(
+            [horizon, mean_regret, std_regret, dep, indep, normalized, epsilon,
+             cfg.space.n, float(np.mean(coverage))]
         )
-        summary.rows.append(row)
         summary.rep_finals[horizon] = finals
 
         curve_path = out_dir / f"curve_T{horizon}.csv"
@@ -715,15 +624,15 @@ def _run_bandit_modes(config: ExperimentConfig, out_dir: Path) -> ExperimentSumm
         )
         summary.files.append(curve_path)
         summary.lines.append(
-            f"T={horizon}: mean regret {row.mean_regret:.4f} "
-            f"(std {row.std_regret:.4f}) over {reps} replications"
+            f"T={horizon}: mean regret {mean_regret:.4f} "
+            f"(std {std_regret:.4f}) over {reps} replications"
         )
 
     aggregate_path = out_dir / "aggregate.csv"
     _write_csv(
         aggregate_path,
         AGGREGATE_COLUMNS,
-        (row.cells() for row in summary.rows),
+        summary.rows,
         {"config_hash": config.config_hash(), "mode": config.mode, "seed": config.seed},
     )
     summary.files.append(aggregate_path)
@@ -732,7 +641,7 @@ def _run_bandit_modes(config: ExperimentConfig, out_dir: Path) -> ExperimentSumm
 
 def _run_oracle_check(config: ExperimentConfig, out_dir: Path) -> ExperimentSummary:
     """Random small instances: exact solver versus enumeration, greedy ratio."""
-    summary = ExperimentSummary(mode="oracle-check")
+    summary = ExperimentSummary()
     rng = np.random.default_rng(config.seed)
     rows = []
     ratios = []
@@ -784,7 +693,7 @@ def _run_oracle_check(config: ExperimentConfig, out_dir: Path) -> ExperimentSumm
 
 def _run_bounds(config: ExperimentConfig, out_dir: Path) -> ExperimentSummary:
     """Tabulate the regret bounds for the configured instance per horizon."""
-    summary = ExperimentSummary(mode="bounds")
+    summary = ExperimentSummary()
     model0 = build_model(config, rng_seed=0)
     cfg = _native_config(config)
     try:
@@ -792,10 +701,9 @@ def _run_bounds(config: ExperimentConfig, out_dir: Path) -> ExperimentSummary:
     except EnumerationInfeasibleError as exc:
         raise ConfigurationError(f"mode bounds: {exc}") from exc
     horizons = config.horizons or (1000, 10000, 100000)
-    rows = []
     for horizon in horizons:
         dep, indep = _instance_bounds(config, cfg, horizon, gaps)
-        rows.append([horizon, dep, indep, gaps.delta_min, gaps.delta_max, gaps.opt])
+        summary.rows.append([horizon, dep, indep, gaps.delta_min, gaps.delta_max, gaps.opt])
         summary.lines.append(
             f"T={horizon}: dependent bound "
             f"{'n/a' if dep is None else format(dep, '.4f')}, "
@@ -805,11 +713,10 @@ def _run_bounds(config: ExperimentConfig, out_dir: Path) -> ExperimentSummary:
     _write_csv(
         path,
         BOUNDS_COLUMNS,
-        rows,
+        summary.rows,
         {"config_hash": config.config_hash(), "seed": config.seed},
     )
     summary.files.append(path)
-    summary.rows = rows
     return summary
 
 

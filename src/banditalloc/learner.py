@@ -20,7 +20,7 @@ arms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -86,7 +86,6 @@ class RunTrace:
     expected: np.ndarray  # (T,) true expected total reward of the played allocation
     config: ProblemConfig
     stats: ArmStats  # end-of-run counts and empirical means
-    metadata: dict = field(default_factory=dict)
     emp_snapshots: np.ndarray | None = None  # (T, K, n) start-of-round emp means
     radius_snapshots: np.ndarray | None = None  # (T, K, n) start-of-round radii
 
@@ -207,7 +206,6 @@ def run(
         expected=allocation_value(mean_mat, level_hist),
         config=cfg,
         stats=ArmStats(counts=counts, emp_means=emp_means),
-        metadata={"horizon": horizon, "rng_seed": model.rng_seed, "oracle": solver.spec},
         emp_snapshots=emp_snap,
         radius_snapshots=rad_snap,
     )

@@ -98,11 +98,9 @@ class TestRunDiscretized:
         assert np.array_equal(trace.rewards, direct.rewards)
         assert np.array_equal(trace.expected, direct.expected)
 
-    def test_plan_metadata_on_trace(self):
+    def test_trace_plays_the_planned_grid(self):
         model = RewardModel.hinge([0.5, 0.9], budget=2.0, rng_seed=5)
         trace, plan = run_discretized(model, OracleSpec(), budget=2.0, horizon=120)
-        assert trace.metadata["plan"]["levels"] == plan.levels
-        assert trace.metadata["plan"]["pitch"] == plan.pitch
         assert trace.config.space is plan.grid
 
     def test_lipschitz_default_comes_from_the_model(self):

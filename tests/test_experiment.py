@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from banditalloc import ConfigurationError, ExperimentConfig, run_experiment
+from banditalloc import ConfigurationError, ExperimentConfig, experiment, run_experiment
 from banditalloc.cli import main as cli_main
 from banditalloc.experiment import (
     AGGREGATE_COLUMNS,
@@ -106,6 +106,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigurationError, match="cannot read"):
             ExperimentConfig.from_file(tmp_path / "nope.json")
 
+    def test_from_file_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"mode": "dr\xe4"}')
+        with pytest.raises(ConfigurationError, match="cannot read config"):
+            ExperimentConfig.from_file(path)
+
     def test_from_file_top_level_array(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")
@@ -135,6 +141,8 @@ BAD_CONFIGS = [
     pytest.param(dra_dict(mode="dpa"), "field mode must be one of", id="bad-mode"),
     pytest.param(dra_dict(seed=-1), "seed must be nonnegative", id="negative-seed"),
     pytest.param(dra_dict(seed=True), "field seed must be int", id="bool-seed"),
+    # mix_seed keeps 64 bits: a larger seed would replay seed mod 2**64
+    pytest.param(dra_dict(seed=2**64), "seed must be nonnegative", id="seed-too-big"),
     pytest.param(dra_dict(typo=1), "unknown field typo", id="unknown-key"),
     pytest.param(
         dra_dict(problem={"resources": 2, "budget": 2.0, "levels": 3, "pitch": 1}),
@@ -145,6 +153,16 @@ BAD_CONFIGS = [
         _drop(dra_dict(), "problem", "budget"),
         "missing field problem.budget",
         id="no-budget",
+    ),
+    pytest.param(
+        dra_dict(problem={"resources": 2, "budget": 10**400, "levels": 3}),
+        "field problem.budget is too large for a float",
+        id="budget-overflows-float",
+    ),
+    pytest.param(
+        cra_dict(rewards={"family": "hinge", "thetas": [0.6, 10**400]}),
+        r"field rewards.thetas\[1\] is too large for a float",
+        id="theta-overflows-float",
     ),
     pytest.param(
         dra_dict(problem={"resources": 0, "budget": 2.0, "levels": 3}),
@@ -344,6 +362,19 @@ class TestConfigHash:
         bumped["rewards"]["probs"][0][0] = 0.11
         assert base.config_hash() != ExperimentConfig.from_dict(bumped).config_hash()
 
+    @pytest.mark.parametrize(
+        "raw,digest",
+        [
+            (dra_dict(), "82db97ca00f19cede3940d14ec05d75acce15423390a3d1eb8b428dfd076711a"),
+            (cra_dict(), "81c1e72686dbb08478eba4786fb8fdd525ffb568e2e4ce32f74ac214fed3b4ff"),
+        ],
+        ids=["dra", "cra"],
+    )
+    def test_pinned(self, raw, digest):
+        # The hash is stamped into every output file, so the dict form it is
+        # taken over, defaults included, must not drift.
+        assert ExperimentConfig.from_dict(raw).config_hash() == digest
+
     def test_stable_across_parses(self):
         one = ExperimentConfig.from_dict(dra_dict()).config_hash()
         two = ExperimentConfig.from_dict(
@@ -462,6 +493,43 @@ def test_trace_files(tmp_path):
     assert levels.sum(axis=1).max() <= 2  # feasibility survives the round trip
     rewards = np.array([[float(r[3]), float(r[4])] for r in rows])
     assert rewards.min() >= 0.0 and rewards.max() <= 1.0
+
+
+@pytest.mark.parametrize(
+    "jobs,reps,cpus,pools",
+    [
+        (8, 3, 16, [3]),
+        (2, 4, 2, [2]),
+        (8, 4, 1, []),
+        (8, 4, None, []),
+        (1, 4, 16, []),
+        (4, 1, 16, []),
+    ],
+    ids=["reps-cap", "jobs", "one-cpu", "unknown-cpus", "serial", "one-rep"],
+)
+def test_worker_count_is_capped(monkeypatch, tmp_path, jobs, reps, cpus, pools):
+    # The pool starts all of its workers on the first submit, so it must
+    # never be asked for more than there are replications or CPUs.
+    created = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads, chunksize):
+            return map(fn, payloads)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(experiment.os, "cpu_count", lambda: cpus)
+    raw = dra_dict(horizons=[20], replications=reps, jobs=jobs, out=str(tmp_path))
+    run_experiment(ExperimentConfig.from_dict(raw))
+    assert created == pools
 
 
 class TestAtomicCsv:
@@ -664,11 +732,12 @@ class TestCli:
         "argv,field",
         [
             (["run", "--seed", "-1"], "seed"),
+            (["run", "--seed", "18446744073709551616"], "seed"),
             (["run", "--jobs", "0"], "jobs"),
             (["oracle-check", "--seed", "-5"], "seed"),
             (["oracle-check", "--instances", "0"], "replications"),
         ],
-        ids=["run-seed", "run-jobs", "check-seed", "check-instances"],
+        ids=["run-seed", "run-seed-too-big", "run-jobs", "check-seed", "check-instances"],
     )
     def test_overrides_are_validated_like_fields(self, tmp_path, capsys, argv, field):
         # a flag is checked by the rule of the config field it sets

@@ -180,7 +180,6 @@ class TestRun:
         assert trace.rewards.shape == (40, 2)
         assert trace.expected.shape == (40,)
         assert np.all((trace.expected >= 0) & (trace.expected <= 2))
-        assert trace.metadata["horizon"] == 40
 
     def test_every_arm_gets_tried(self):
         cfg = native_cfg()
