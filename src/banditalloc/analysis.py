@@ -1,10 +1,10 @@
 """Regret accounting, instance gap structure, and bound evaluators.
 
 Everything here consumes run traces and closed-form environment means;
-nothing feeds back into the learner. Regret is measured against a scaled
-benchmark alpha * beta * opt, the yardstick a (alpha, beta)-limited offline
-solver can actually be held to; with alpha = beta = 1 it is plain regret
-against the optimum.
+nothing feeds back into the learner. Regret is measured against the
+benchmark the caller passes: the optimum for an exact oracle, or the scaled
+alpha * beta * opt, the yardstick a (alpha, beta)-limited offline solver can
+actually be held to.
 """
 
 from __future__ import annotations
@@ -37,20 +37,14 @@ class BoundParams:
 
     smoothness bounds how much the expected total reward can move per unit
     of change in any arm mean (1 when the objective is a plain sum of arm
-    means); alpha and beta declare the offline solver's quality.
+    means).
     """
 
     smoothness: float = 1.0
-    alpha: float = 1.0
-    beta: float = 1.0
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.smoothness) and self.smoothness > 0):
             raise ValueError(f"smoothness must be positive, got {self.smoothness}")
-        if not 0 < self.alpha <= 1:
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not 0 < self.beta <= 1:
-            raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
 
 
 @dataclass(frozen=True)
@@ -59,12 +53,11 @@ class GapReport:
 
     Per-arm entries cover only allocations that play the arm AND have a
     strictly positive gap alpha * opt - r: arms never played suboptimally
-    get +inf in delta_min_per_arm and 0 in delta_max_per_arm.
+    get +inf.
     """
 
     opt: float
     delta_min_per_arm: np.ndarray  # (K, n), +inf where no positive gap exists
-    delta_max_per_arm: np.ndarray  # (K, n), 0 where no positive gap exists
     delta_min: float  # min over finite per-arm minima, +inf if none
     delta_max: float  # max positive gap, 0 if every allocation is optimal
 
@@ -73,7 +66,7 @@ class GapReport:
 class RegretReport:
     """Cumulative scaled regret along one run."""
 
-    series: np.ndarray  # (T,) cumulative alpha*beta*opt - expected reward
+    series: np.ndarray  # (T,) cumulative benchmark - expected reward
     final: float
     term_learning: float | None = None  # on-grid part, for discretized runs
     term_discretization: float | None = None  # grid-vs-continuum part
@@ -119,8 +112,8 @@ def compute_continuous_reference(
     """
     if refinement < 2:
         raise ValueError(f"refinement must be >= 2, got {refinement}")
-    if model.family == "table":
-        raise ValueError("table rewards have no continuous budget axis")
+    # Raises for table models before any grid solver is built.
+    lipschitz = model.lipschitz_constant()
     pitch = budget / refinement
     grid = ProblemConfig(
         resources=model.k_count,
@@ -128,7 +121,7 @@ def compute_continuous_reference(
         space=ActionSpace.uniform_grid(refinement + 1, pitch),
     )
     lo = compute_opt(model, grid)
-    hi = lo + model.lipschitz_constant() * model.k_count * pitch
+    hi = lo + lipschitz * model.k_count * pitch
     return ReferenceInterval(lo=lo, hi=hi, pitch=pitch)
 
 
@@ -142,23 +135,21 @@ def _level_chunks(n: int, resources: int):
 
 
 def compute_gaps(
-    model: RewardModel,
-    cfg: ProblemConfig,
-    alpha: float = 1.0,
-    max_enumeration: int = MAX_ENUMERATION,
+    model: RewardModel, cfg: ProblemConfig, alpha: float = 1.0
 ) -> GapReport:
-    """Enumerate every feasible allocation and collect gap extrema per arm.
+    """Enumerate every feasible allocation and collect the gap minima per arm
+    and the largest gap.
 
     Exact but exponential: raises EnumerationInfeasibleError when
-    n ** resources exceeds max_enumeration.
+    n ** resources exceeds MAX_ENUMERATION.
     """
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     n = cfg.space.n
     resources = cfg.resources
-    if n**resources > max_enumeration:
+    if n**resources > MAX_ENUMERATION:
         raise EnumerationInfeasibleError(
-            f"{n}^{resources} allocations exceed the enumeration cap {max_enumeration}"
+            f"{n}^{resources} allocations exceed the enumeration cap {MAX_ENUMERATION}"
         )
     means = model.mean_matrix(cfg.space)
     cap = cfg.capacity_units
@@ -173,7 +164,7 @@ def compute_gaps(
         opt = max(opt, float(r.max()))
 
     delta_min = np.full((resources, n), np.inf)
-    delta_max = np.zeros((resources, n))
+    delta_max = 0.0
     for block in _level_chunks(n, resources):
         feasible = block.sum(axis=1) <= cap
         if not feasible.any():
@@ -186,29 +177,27 @@ def compute_gaps(
             continue
         block = block[positive]
         gaps = gaps[positive]
+        delta_max = max(delta_max, float(gaps.max()))
         for k in range(resources):
             np.minimum.at(delta_min[k], block[:, k], gaps)
-            np.maximum.at(delta_max[k], block[:, k], gaps)
 
     finite = np.isfinite(delta_min)
     return GapReport(
         opt=opt,
         delta_min_per_arm=delta_min,
-        delta_max_per_arm=delta_max,
         delta_min=float(delta_min[finite].min()) if finite.any() else np.inf,
-        delta_max=float(delta_max.max()),
+        delta_max=delta_max,
     )
 
 
-def regret_series(
-    trace: RunTrace, opt: float, alpha: float = 1.0, beta: float = 1.0
-) -> RegretReport:
-    """Cumulative alpha*beta-scaled regret of a run against a benchmark opt.
+def regret_series(trace: RunTrace, opt: float) -> RegretReport:
+    """Cumulative regret of a run against a benchmark opt.
 
-    Negative values are meaningful when alpha * beta < 1 (the run can beat
-    the scaled benchmark) and are preserved, not clipped.
+    For an (alpha, beta) oracle pass alpha * beta * opt. Negative values are
+    meaningful there (the run can beat the scaled benchmark) and are
+    preserved, not clipped.
     """
-    per_round = alpha * beta * opt - trace.expected
+    per_round = opt - trace.expected
     series = np.cumsum(per_round)
     return RegretReport(series=series, final=float(series[-1]))
 
@@ -217,21 +206,19 @@ def split_discretization_regret(
     trace: RunTrace,
     grid_opt: float,
     reference: ReferenceInterval,
-    alpha: float = 1.0,
-    beta: float = 1.0,
 ) -> RegretReport:
     """Regret against the conservative continuous benchmark, split into the
     on-grid learning part and the price of the grid itself.
 
     The series (and final) measure against reference.hi; term_learning
     measures against the grid optimum and term_discretization is
-    T * alpha * beta * (reference.hi - grid_opt). The two terms sum to the
-    final value up to float rounding.
+    T * (reference.hi - grid_opt). The two terms sum to the final value up to
+    float rounding.
     """
     horizon = len(trace)
-    report = regret_series(trace, reference.hi, alpha, beta)
-    learning = alpha * beta * grid_opt * horizon - float(trace.expected.sum())
-    price = horizon * alpha * beta * (reference.hi - grid_opt)
+    report = regret_series(trace, reference.hi)
+    learning = grid_opt * horizon - float(trace.expected.sum())
+    price = horizon * (reference.hi - grid_opt)
     return RegretReport(
         series=report.series,
         final=report.final,
@@ -304,6 +291,11 @@ def independent_regret_bound(
     return lead + 2.0 * smoothness * arms + (math.pi**2 / 3.0) * arms * delta_max
 
 
+def _theorem2_rate(t: int) -> float:
+    """Theorem 2's regret rate T^(2/3) (ln T)^(1/3)."""
+    return t ** (2.0 / 3.0) * math.log(t) ** (1.0 / 3.0)
+
+
 def scaling_check(
     final_regrets: Mapping[int, float], slack: float = 0.25
 ) -> ScalingReport:
@@ -323,10 +315,7 @@ def scaling_check(
         raise ValueError("horizons must be >= 2 so ln T > 0")
     if horizons[-1] < 100 * horizons[0]:
         raise ValueError("horizons must span at least two decades")
-    normalized = tuple(
-        final_regrets[t] / (t ** (2.0 / 3.0) * math.log(t) ** (1.0 / 3.0))
-        for t in horizons
-    )
+    normalized = tuple(final_regrets[t] / _theorem2_rate(t) for t in horizons)
     passed = all(
         later <= (1.0 + slack) * earlier
         for earlier, later in zip(normalized, normalized[1:])

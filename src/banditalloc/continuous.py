@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -97,39 +96,23 @@ def run_discretized(
     oracle_spec: OracleSpec,
     budget: float,
     horizon: int,
-    smoothness: float = 1.0,
-    lipschitz: float | None = None,
-    max_levels: int = DEFAULT_MAX_LEVELS,
-    oracle_seed: int = 0,
     record_internals: bool = False,
-    observer: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
 ) -> tuple[RunTrace, DiscretizationPlan]:
     """Plan a grid for the horizon and run the learner on it.
 
-    The Lipschitz constant defaults to the model's own; pass ``lipschitz``
-    to override (for sensitivity studies). The hinge family carries its own
-    budget, which must match ``budget``. Given the same seed and plan, the
-    trace is identical to running the discrete learner on the planned grid
-    directly; this function only automates the grid choice.
+    The plan uses smoothness 1 and the model's own Lipschitz constant, whose
+    lookup rejects table models. The hinge family carries its own budget,
+    which must match ``budget``. The trace is identical to running the
+    discrete learner on the planned grid with build_solver's default seed;
+    this function only automates the grid choice.
     """
-    if model.family == "table":
-        raise ValueError("table rewards have no continuous budget axis to discretize")
+    lip = model.lipschitz_constant()
     if model.family == "hinge" and abs(model.budget - budget) > 1e-12:
         raise ValueError(
             f"hinge model was parameterized for budget {model.budget}, got {budget}"
         )
-    lip = model.lipschitz_constant() if lipschitz is None else float(lipschitz)
-    plan = plan_discretization(
-        smoothness, budget, lip, model.k_count, horizon, max_levels
-    )
+    plan = plan_discretization(1.0, budget, lip, model.k_count, horizon)
     cfg = ProblemConfig(resources=model.k_count, budget=budget, space=plan.grid)
-    solver = build_solver(oracle_spec, cfg, seed=oracle_seed)
-    trace = run(
-        model,
-        solver,
-        cfg,
-        horizon,
-        record_internals=record_internals,
-        observer=observer,
-    )
+    solver = build_solver(oracle_spec, cfg)
+    trace = run(model, solver, cfg, horizon, record_internals=record_internals)
     return trace, plan

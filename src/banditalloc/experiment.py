@@ -20,7 +20,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -32,6 +32,7 @@ from .analysis import (
     CoverageObserver,
     EnumerationInfeasibleError,
     GapReport,
+    _theorem2_rate,
     compute_continuous_reference,
     compute_gaps,
     compute_opt,
@@ -155,14 +156,25 @@ class ExperimentConfig:
     def config_hash(self) -> str:
         """sha256 over the science fields only.
 
-        Execution knobs (out, jobs, write_traces) are excluded so the hash
-        stamped into output files is stable across how the run was executed.
+        Execution knobs (out, jobs, write_traces) are excluded and fields the
+        mode never reads are hashed at their defaults, so the hash stamped
+        into output files changes only when the outputs can.
         """
-        science = self.to_dict()
+        seen = self
+        if self.mode in ("dra", "bounds"):
+            seen = _at_defaults(self, "lipschitz", "max_levels", "reference_refinement")
+        elif self.mode == "cra":
+            seen = replace(self, problem=_at_defaults(self.problem, "levels"))
+        science = seen.to_dict()
         for key in ("out", "jobs", "write_traces"):
             science.pop(key, None)
         canon = json.dumps(science, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()
+
+
+def _at_defaults(obj, *names: str):
+    """The dataclass obj with the named fields put back to their defaults."""
+    return replace(obj, **{f.name: f.default for f in fields(obj) if f.name in names})
 
 
 # JSON types of the scalar config fields, by their annotation.
@@ -362,7 +374,7 @@ def _check_config(config: ExperimentConfig) -> None:
         with _field_errors("field rewards."):
             model.check_space(cfg.space)
     with _field_errors("field "):
-        BoundParams(config.smoothness, config.oracle.alpha, config.oracle.beta)
+        BoundParams(config.smoothness)
 
 
 def _native_config(config: ExperimentConfig) -> ProblemConfig:
@@ -505,11 +517,7 @@ def _instance_bounds(
     """(dependent, independent) bounds, None where inapplicable."""
     if gaps is None:
         return None, None
-    params = BoundParams(
-        smoothness=config.smoothness,
-        alpha=config.oracle.alpha,
-        beta=config.oracle.beta,
-    )
+    params = BoundParams(config.smoothness)
     dep: float | None
     try:
         dep = dependent_regret_bound(
@@ -597,9 +605,7 @@ def _run_bandit_modes(config: ExperimentConfig, out_dir: Path) -> ExperimentSumm
         mean_regret = float(np.mean(finals_arr))
         std_regret = _std1(finals_arr)
         normalized = (
-            mean_regret / (horizon ** (2.0 / 3.0) * math.log(horizon) ** (1.0 / 3.0))
-            if epsilon is not None
-            else None
+            mean_regret / _theorem2_rate(horizon) if epsilon is not None else None
         )
         summary.rows.append(
             [horizon, mean_regret, std_regret, dep, indep, normalized, epsilon,

@@ -287,27 +287,19 @@ class CoinFlipOracle(_SolverBase):
     """Simulates a solver that succeeds only with probability beta.
 
     Call number c (counted by ``calls``, from 1) flips a Bernoulli(beta) coin,
-    the uniform draw at address (seed, stream, c) of a dedicated counter-based
-    stream; on success it defers to the base solver, on failure it returns
-    the all-zeros allocation. The coins are drawn in blocks of consecutive
-    addresses with streams.uniform_block, which reproduces the pointwise
-    draws, so runs replay exactly for a fixed seed.
+    the uniform draw at address (seed, streams.COIN_STREAM, c); on success
+    it defers to the base solver, on failure it returns the all-zeros
+    allocation. The coins are drawn in blocks of consecutive addresses with
+    streams.uniform_block, which reproduces the pointwise draws, so runs
+    replay exactly for a fixed seed.
     """
 
-    def __init__(
-        self,
-        base: _SolverBase,
-        beta: float,
-        seed: int,
-        stream: int = streams.COIN_STREAM,
-    ):
-        if not 0 < beta <= 1:
-            raise ValueError(f"beta must lie in (0, 1], got {beta}")
+    def __init__(self, base: _SolverBase, beta: float, seed: int):
         self.base = base
         self.cfg = base.cfg
+        # OracleSpec rejects a beta outside (0, 1].
         self.spec = OracleSpec(base.spec.alpha, float(beta), base.spec.kind)
         self._seed = int(seed)
-        self._stream = int(stream)
         self.calls = 0
         # _coins[i] is the coin at address _first + i.
         self._first = 1
@@ -320,15 +312,16 @@ class CoinFlipOracle(_SolverBase):
         if not 0 <= i < len(self._coins):
             self._first = self.calls
             self._coins = streams.uniform_block(
-                self._seed, self._stream, self.calls, _COIN_BLOCK
+                self._seed, streams.COIN_STREAM, self.calls, _COIN_BLOCK
             ).tolist()
             i = 0
         return self._coins[i] < self.spec.beta
 
     def solve_levels(self, means: np.ndarray) -> np.ndarray:
-        # The base solver validates the means, and only when the coin succeeds.
+        # The base solver validates the means on success, _check_means on failure.
         if self._heads():
             return self.base.solve_levels(means)
+        _check_means(means, self.cfg)
         return np.zeros(self.cfg.resources, dtype=np.int64)
 
     def _levels(self, means: np.ndarray) -> np.ndarray:

@@ -106,13 +106,8 @@ class TestRunDiscretized:
     def test_lipschitz_default_comes_from_the_model(self):
         model = RewardModel.concave_exp([1.0], [0.25], rng_seed=2)  # L = 4
         _, plan_default = run_discretized(model, OracleSpec(), budget=1.0, horizon=100)
-        _, plan_override = run_discretized(
-            model, OracleSpec(), budget=1.0, horizon=100, lipschitz=4.0
-        )
-        assert plan_default.levels == plan_override.levels
-        _, plan_smooth = run_discretized(
-            model, OracleSpec(), budget=1.0, horizon=100, lipschitz=0.5
-        )
+        assert plan_default == plan_discretization(1.0, 1.0, 4.0, 1, 100)
+        plan_smooth = plan_discretization(1.0, 1.0, 0.5, 1, 100)
         assert plan_smooth.levels < plan_default.levels  # smoother: coarser grid
 
     def test_single_resource_converges_to_full_budget(self):

@@ -362,6 +362,19 @@ class TestConfigHash:
         bumped["rewards"]["probs"][0][0] = 0.11
         assert base.config_hash() != ExperimentConfig.from_dict(bumped).config_hash()
 
+    def test_dra_ignores_grid_and_reference_fields(self):
+        base = ExperimentConfig.from_dict(dra_dict()).config_hash()
+        unread = dra_dict(max_levels=128, reference_refinement=64, lipschitz=2.0)
+        assert ExperimentConfig.from_dict(unread).config_hash() == base
+
+    def test_cra_ignores_problem_levels(self):
+        base = ExperimentConfig.from_dict(cra_dict()).config_hash()
+        unread = cra_dict()
+        unread["problem"] = {**unread["problem"], "levels": 5}
+        assert ExperimentConfig.from_dict(unread).config_hash() == base
+        # cra does read the planner's fields.
+        assert ExperimentConfig.from_dict(cra_dict(lipschitz=2.0)).config_hash() != base
+
     @pytest.mark.parametrize(
         "raw,digest",
         [

@@ -385,18 +385,28 @@ class TestCoinFlipOracle:
         cfg = native_cfg(2, 2.0, 3)
         seed, tiny = 3, 1e-9
         # With beta this small the first coin fails, so the base solver never
-        # sees the means; solve must still reject them.
+        # sees the means; solve and solve_levels must still reject them.
         assert reference_coin(seed, streams.COIN_STREAM, 1) >= tiny
+        bads = (
+            np.zeros((3, 3)),
+            np.array([[0.0, np.nan, 0.1], [0.0, 0.1, 0.2]]),
+            np.array([[0.0, 0.1, 0.1], [0.0, np.inf, 0.2]]),
+        )
         for beta in (1.0, 0.5, tiny):
             oracle = CoinFlipOracle(GreedySolver(cfg), beta=beta, seed=seed)
-            for bad in (
-                np.zeros((3, 3)),
-                np.array([[0.0, np.nan, 0.1], [0.0, 0.1, 0.2]]),
-                np.array([[0.0, 0.1, 0.1], [0.0, np.inf, 0.2]]),
-            ):
+            for bad in bads:
                 with pytest.raises(ValueError):
                     oracle.solve(bad)
             assert oracle.calls == 0
+            for bad in bads:
+                with pytest.raises(ValueError):
+                    oracle.solve_levels(bad)
+
+    @pytest.mark.parametrize("beta", [0.0, 1.5, float("nan")])
+    def test_rejects_beta_outside_unit_interval(self, beta):
+        cfg = native_cfg(2, 2.0, 3)
+        with pytest.raises(ValueError, match=r"beta must lie in \(0, 1\]"):
+            CoinFlipOracle(ExactDpSolver(cfg), beta, 0)
 
     def test_spec_reflects_wrapping(self):
         cfg = native_cfg(2, 2.0, 3)

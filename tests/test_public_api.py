@@ -1,4 +1,9 @@
-"""The package's public surface: adding or dropping a name edits this list."""
+"""The package's public surface: adding or dropping a name, or a parameter
+of the functions pinned below, edits this file."""
+
+import inspect
+
+import pytest
 
 import banditalloc
 
@@ -61,3 +66,21 @@ def test_every_entry_resolves():
 
 def test_all_is_pinned():
     assert banditalloc.__all__ == PUBLIC_NAMES
+
+
+# Parameter names of entry points where every option has a caller outside
+# the tests; a new option has to be added here too.
+PARAMETERS = {
+    "BoundParams": ["smoothness"],
+    "CoinFlipOracle": ["base", "beta", "seed"],
+    "compute_gaps": ["model", "cfg", "alpha"],
+    "regret_series": ["trace", "opt"],
+    "run_discretized": ["model", "oracle_spec", "budget", "horizon", "record_internals"],
+    "split_discretization_regret": ["trace", "grid_opt", "reference"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARAMETERS))
+def test_parameters_are_pinned(name):
+    signature = inspect.signature(getattr(banditalloc, name))
+    assert list(signature.parameters) == PARAMETERS[name]
