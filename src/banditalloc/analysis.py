@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import ActionSpace, ProblemConfig
+from .core import ActionSpace, ProblemConfig, iter_feasible_levels
 from .environment import RewardModel
 from .learner import RunTrace
 from .oracle import ExactDpSolver
@@ -125,20 +125,12 @@ def compute_continuous_reference(
     return ReferenceInterval(lo=lo, hi=hi, pitch=pitch)
 
 
-def _level_chunks(n: int, resources: int):
-    it = itertools.product(range(n), repeat=resources)
-    while True:
-        block = list(itertools.islice(it, _CHUNK_ROWS))
-        if not block:
-            return
-        yield np.asarray(block, dtype=np.int64)
-
-
 def compute_gaps(
     model: RewardModel, cfg: ProblemConfig, alpha: float = 1.0
 ) -> GapReport:
-    """Enumerate every feasible allocation and collect the gap minima per arm
-    and the largest gap.
+    """Enumerate every feasible allocation, _CHUNK_ROWS rows at a time from
+    iter_feasible_levels, and collect the gap minima per arm and the largest
+    gap.
 
     Exact but exponential: raises EnumerationInfeasibleError when
     n ** resources exceeds MAX_ENUMERATION.
@@ -152,34 +144,27 @@ def compute_gaps(
             f"{n}^{resources} allocations exceed the enumeration cap {MAX_ENUMERATION}"
         )
     means = model.mean_matrix(cfg.space)
-    cap = cfg.capacity_units
     cols = np.arange(resources)
 
     opt = -np.inf
-    for block in _level_chunks(n, resources):
-        feasible = block.sum(axis=1) <= cap
-        if not feasible.any():
-            continue
-        r = means[cols[None, :], block[feasible]].sum(axis=1)
-        opt = max(opt, float(r.max()))
+    rows = iter_feasible_levels(cfg)
+    while block := list(itertools.islice(rows, _CHUNK_ROWS)):
+        opt = max(opt, float(means[cols, np.asarray(block)].sum(axis=1).max()))
 
     delta_min = np.full((resources, n), np.inf)
     delta_max = 0.0
-    for block in _level_chunks(n, resources):
-        feasible = block.sum(axis=1) <= cap
-        if not feasible.any():
-            continue
-        block = block[feasible]
-        r = means[cols[None, :], block].sum(axis=1)
-        gaps = alpha * opt - r
+    rows = iter_feasible_levels(cfg)
+    while block := list(itertools.islice(rows, _CHUNK_ROWS)):
+        levels = np.asarray(block)
+        gaps = alpha * opt - means[cols, levels].sum(axis=1)
         positive = gaps > 0
         if not positive.any():
             continue
-        block = block[positive]
+        levels = levels[positive]
         gaps = gaps[positive]
         delta_max = max(delta_max, float(gaps.max()))
         for k in range(resources):
-            np.minimum.at(delta_min[k], block[:, k], gaps)
+            np.minimum.at(delta_min[k], levels[:, k], gaps)
 
     finite = np.isfinite(delta_min)
     return GapReport(

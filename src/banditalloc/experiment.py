@@ -157,8 +157,9 @@ class ExperimentConfig:
         """sha256 over the science fields only.
 
         Execution knobs (out, jobs, write_traces) are excluded and fields the
-        mode never reads are hashed at their defaults, so the hash stamped
-        into output files changes only when the outputs can.
+        mode never reads are hashed at their defaults (oracle-check hashes
+        only mode, seed and replications), so the hash stamped into output
+        files changes only when the outputs can.
         """
         seen = self
         if self.mode in ("dra", "bounds"):
@@ -166,6 +167,8 @@ class ExperimentConfig:
         elif self.mode == "cra":
             seen = replace(self, problem=_at_defaults(self.problem, "levels"))
         science = seen.to_dict()
+        if self.mode == "oracle-check":
+            science = {key: science[key] for key in ("mode", "seed", "replications")}
         for key in ("out", "jobs", "write_traces"):
             science.pop(key, None)
         canon = json.dumps(science, sort_keys=True, separators=(",", ":"))

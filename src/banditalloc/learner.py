@@ -154,9 +154,6 @@ def run(
     n = cfg.space.n
     level_values = cfg.space.level_values
     mean_mat = model.mean_matrix(cfg.space)
-    uniforms = np.empty((resources, horizon))
-    for k in range(1, resources + 1):
-        uniforms[k - 1] = model.uniform_block(k, 1, horizon)
 
     counts = np.zeros((resources, n), dtype=np.int64)
     emp_means = np.zeros((resources, n))
@@ -181,13 +178,17 @@ def run(
     for start in range(1, horizon + 1, _LOG_CHUNK):
         stop = min(start + _LOG_CHUNK, horizon + 1)
         scaled_logs = (3.0 * np.log(np.arange(start, stop, dtype=np.float64))).tolist()
+        # Philox addressing gives a round the same uniforms in any block.
+        uniforms = np.array(
+            [model.uniform_block(k, start, stop - start) for k in range(1, resources + 1)]
+        )
         for t, scaled_log in zip(range(start, stop), scaled_logs):
             _radii_into(radii, twice_counts, tried if untried else True, scaled_log)
             if observer is not None:
                 observer(t, emp_means, radii)
             levels = solver.solve_levels(_clamp_upper(emp_means, radii, upper))
             rewards = model.rewards_from_uniforms(
-                levels, level_values[levels], uniforms[:, t - 1]
+                levels, level_values[levels], uniforms[:, t - start]
             )
             level_list, reward_list = levels.tolist(), rewards.tolist()
             if min(reward_list) < 0.0 or max(reward_list) > 1.0:
@@ -199,7 +200,6 @@ def run(
             level_hist[t - 1] = levels
             reward_hist[t - 1] = rewards
 
-    del uniforms  # give its memory back before the expected values are folded
     return RunTrace(
         levels=level_hist,
         rewards=reward_hist,

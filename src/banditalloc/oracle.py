@@ -87,8 +87,12 @@ class _SolverBase:
     """Shared result plumbing; concrete solvers implement _levels, which
     receives a matrix _check_means has already validated."""
 
-    cfg: ProblemConfig
-    spec: OracleSpec
+    def __init__(self, cfg: ProblemConfig, kind: str):
+        self.cfg = cfg
+        self.spec = OracleSpec(1.0, 1.0, kind)
+        # No allocation can spend more than resources*(n-1) units, so larger
+        # budgets buy nothing more.
+        self._cap = min(cfg.capacity_units, cfg.resources * (cfg.space.n - 1))
 
     def _levels(self, means: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -108,30 +112,26 @@ class ExactDpSolver(_SolverBase):
 
     Level i costs i units (one unit = the space pitch). The suffix table
     suf_v[k][c] holds the best value attainable from resources k.. with c
-    units left; alongside it suf_u[k][c] tracks the minimum units spent among
-    those maximizers so ties resolve toward the smaller total budget, then
-    (during forward reconstruction, which scans levels in ascending order)
-    toward the lexicographically smallest level vector. Identical inputs
-    therefore always produce identical allocations.
+    units left, and suf_u[k][c] the fewest units spent among those
+    maximizers. The backward pass also stores, in choice[k][c], the level it
+    picks for resource k: the lowest level among the fewest-unit maximizers.
+    Ties therefore resolve toward the smaller total budget, then toward the
+    lexicographically smallest level vector, and the forward pass only reads
+    the stored choices, so identical inputs always produce identical
+    allocations.
 
     Only the rows of middle resources are built from full (n, cap + 1)
     candidate tables. The last row is a running maximum of the last
     resource's values, because the row after it is all zeros; its units are
-    where that maximum first appears, looked up only for the candidates the
-    reconstruction has to tell apart. The first row is read only at column
-    cap, so its one entry is the best candidate of the first reconstruction
-    step.
+    where that maximum first appears. With no middle row they are looked up
+    only for the first row's tied candidates and the column the last
+    resource ends at. The first row is read only at column cap, so it is
+    solved there alone, with the same tie-break.
     """
 
     def __init__(self, cfg: ProblemConfig):
-        self.cfg = cfg
-        self.spec = OracleSpec(1.0, 1.0, "exact_dp")
-        n = cfg.space.n
-        resources = cfg.resources
-        # No allocation can spend more than resources*(n-1) units, so larger
-        # budgets do not enlarge the table.
-        cap = min(cfg.capacity_units, resources * (n - 1))
-        self._cap = cap
+        super().__init__(cfg, "exact_dp")
+        n, resources, cap = cfg.space.n, cfg.resources, self._cap
         self._n = n
         self._resources = resources
         # The last row over columns 0..cap is the running maximum of the last
@@ -145,7 +145,9 @@ class ExactDpSolver(_SolverBase):
             # 0 of the padding acting as the "a exceeds c" sentinel.
             self._suf_v = np.empty((resources, cap + 1))
             self._suf_u = np.empty((resources, cap + 1), dtype=np.int64)
-            offsets = np.arange(cap + 1)[None, :] - np.arange(n)[:, None] + 1
+            self._choice = np.empty((resources, cap + 1), dtype=np.int64)
+            self._columns = np.arange(cap + 1)
+            offsets = self._columns[None, :] - np.arange(n)[:, None] + 1
             self._gather = np.maximum(offsets, 0)
             self._level_cost = np.arange(n, dtype=np.int64)[:, None]
             self._pad_v = np.empty(cap + 2)
@@ -161,7 +163,7 @@ class ExactDpSolver(_SolverBase):
             last_row = np.maximum.accumulate(self._last_in, out=self._last_row)
 
         if resources > 2:
-            suf_v, suf_u = self._suf_v, self._suf_u
+            suf_v, suf_u, choice = self._suf_v, self._suf_u, self._choice
             suf_v[last] = last_row
             suf_u[last] = last_row.searchsorted(last_row)
         for k in range(resources - 2, 0, -1):
@@ -173,41 +175,35 @@ class ExactDpSolver(_SolverBase):
             cand_v = pad_v[self._gather] + means[k][:, None]
             cand_u = pad_u[self._gather] + self._level_cost
             best_v = cand_v.max(axis=0)
+            # Units of the maximizers only; argmin's first minimum is the
+            # lowest level among the fewest-unit maximizers.
+            masked_u = np.where(cand_v == best_v[None, :], cand_u, _UNITS_SENTINEL)
+            choice[k] = masked_u.argmin(axis=0)
             suf_v[k] = best_v
-            suf_u[k] = np.where(cand_v == best_v[None, :], cand_u, _UNITS_SENTINEL).min(
-                axis=0
-            )
+            suf_u[k] = masked_u[choice[k], self._columns]
 
         levels = []
         c = cap
-        for k in range(last):
+        if last:
+            # The first row at column cap: candidates for levels 0..top read
+            # the next row at cap, cap-1, ..., cap-top.
             top = min(n - 1, c)
-            # Candidates for levels 0..top read the next row at c, c-1, ..., c-top.
-            next_row = last_row if k + 1 == last else suf_v[k + 1]
-            cand_v = means[k, : top + 1] + next_row[c - top : c + 1][::-1]
+            next_row = last_row if last == 1 else suf_v[1]
+            cand_v = means[0, : top + 1] + next_row[c - top : c + 1][::-1]
             # argmax returns the first maximizer; on the reversed row, the last.
             a = int(cand_v.argmax())
-            best_v = cand_v[a]
             if a != top - int(cand_v[::-1].argmax()):
                 # Tied values: the fewest units spent wins, then the lowest level.
-                tied = (cand_v == best_v).nonzero()[0]
-                if k + 1 == last:
+                tied = (cand_v == cand_v[a]).nonzero()[0]
+                if last == 1:
                     tied_u = tied + last_row.searchsorted(last_row[c - tied])
                 else:
-                    tied_u = tied + suf_u[k + 1, c - tied]
-                i = int(tied_u.argmin())
-                a, best_u = int(tied[i]), tied_u[i]
-            elif k > 0:
-                if k + 1 == last:
-                    best_u = a + last_row.searchsorted(last_row[c - a])
-                else:
-                    best_u = a + suf_u[k + 1, c - a]
-            # The first row is read only here, at column cap; later rows must
-            # reproduce the suffix table.
-            if k > 0 and (best_v != suf_v[k, c] or best_u != suf_u[k, c]):
-                raise AssertionError(  # pragma: no cover - the table reproduces itself
-                    "suffix table reconstruction failed"
-                )
+                    tied_u = tied + suf_u[1, c - tied]
+                a = int(tied[tied_u.argmin()])
+            levels.append(a)
+            c -= a
+        for k in range(1, last):
+            a = choice.item(k, c)
             levels.append(a)
             c -= a
         # Below the last resource nothing is spent, so its units are its level:
@@ -238,9 +234,7 @@ class GreedySolver(_SolverBase):
     """
 
     def __init__(self, cfg: ProblemConfig):
-        self.cfg = cfg
-        self.spec = OracleSpec(1.0, 1.0, "greedy")
-        self._cap = min(cfg.capacity_units, cfg.resources * (cfg.space.n - 1))
+        super().__init__(cfg, "greedy")
 
     def _levels(self, means: np.ndarray) -> np.ndarray:
         rows = means.tolist()

@@ -157,6 +157,7 @@ def test_long_run_bookkeeping_invariants_hold():
         assert np.all(spent <= trace.config.budget + 1e-9)
 
 
+@pytest.mark.slow
 def test_mean_regret_respects_the_gap_dependent_bound(mean_regret_curve):
     cfg = reference_cfg()
     gaps = compute_gaps(RewardModel.table(REFERENCE_PROBS, rng_seed=0), cfg)
@@ -167,6 +168,7 @@ def test_mean_regret_respects_the_gap_dependent_bound(mean_regret_curve):
         assert observed <= bound, f"T={horizon}: regret {observed:.1f} > {bound:.1f}"
 
 
+@pytest.mark.slow
 def test_regret_decade_increments_taper(mean_regret_curve):
     # Logarithmic growth signature: each decade of rounds should add no
     # more regret than the previous one, up to a 2x slack for noise.
@@ -205,6 +207,7 @@ def test_grid_optimum_sits_within_the_lipschitz_margin():
         assert reference.hi - grid_opt <= margin + width + 1e-9
 
 
+@pytest.mark.slow
 def test_normalized_continuous_regret_levels_off():
     """Final regret of the planned-grid learner, normalized by the target
     law T^(2/3) (ln T)^(1/3), should be non-increasing across decade

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -102,7 +103,48 @@ class TestContinuousReference:
             )
 
 
+def enumerated_gaps(model, cfg, alpha=1.0):
+    """Reference gap structure: every level vector from itertools.product,
+    the infeasible ones dropped by their unit sum."""
+    means = model.mean_matrix(cfg.space)
+    cols = np.arange(cfg.resources)
+    levels = np.array(list(itertools.product(range(cfg.space.n), repeat=cfg.resources)))
+    levels = levels[levels.sum(axis=1) <= cfg.capacity_units]
+    values = means[cols, levels].sum(axis=1)
+    opt = float(values.max())
+    gaps = alpha * opt - values
+    positive = gaps > 0
+    delta_min = np.full((cfg.resources, cfg.space.n), np.inf)
+    for k in range(cfg.resources):
+        np.minimum.at(delta_min[k], levels[positive, k], gaps[positive])
+    return opt, delta_min, float(gaps[positive].max()) if positive.any() else 0.0
+
+
 class TestComputeGaps:
+    @pytest.mark.parametrize(
+        "resources,n,budget,seed",
+        [
+            (3, 5, 12.0, 1),
+            (3, 60, 59.0, 0),
+            (4, 4, 4.0, 2),
+            (2, 7, 9.0, 3),
+            (5, 3, 3.0, 4),
+        ],
+        ids=["every-top-level", "crosses-blocks", "binds-4x4", "binds-2x7", "binds-5x3"],
+    )
+    @pytest.mark.parametrize("alpha", [1.0, 0.9])
+    def test_equals_product_enumeration(self, resources, n, budget, seed, alpha):
+        # 3 x 60 at budget 59 has 37,820 feasible rows, more than one block;
+        # with seed 0 its optimum is row 34,488, in the second block.
+        rng = np.random.default_rng(seed)
+        model = RewardModel.table(np.sort(rng.random((resources, n)), axis=1), rng_seed=0)
+        cfg = native_cfg(resources, budget, n)
+        gaps = compute_gaps(model, cfg, alpha)
+        opt, delta_min, delta_max = enumerated_gaps(model, cfg, alpha)
+        assert gaps.opt == opt
+        assert np.array_equal(gaps.delta_min_per_arm, delta_min)
+        assert gaps.delta_max == delta_max
+
     def test_single_resource_by_hand(self):
         cfg = native_cfg(resources=1, budget=1.0, n=2)
         model = RewardModel.table([[0.2, 0.9]], rng_seed=0)

@@ -375,6 +375,23 @@ class TestConfigHash:
         # cra does read the planner's fields.
         assert ExperimentConfig.from_dict(cra_dict(lipschitz=2.0)).config_hash() != base
 
+    def test_oracle_check_hashes_only_seed_and_replications(self):
+        def check(**over):
+            raw = {"mode": "oracle-check", "seed": 3, "replications": 5, **over}
+            raw.setdefault("problem", {"resources": 1, "budget": 1.0, "levels": 2})
+            raw.setdefault("rewards", {"family": "table", "probs": [[0.5, 0.5]]})
+            return ExperimentConfig.from_dict(raw).config_hash()
+
+        base = check()
+        unread = check(
+            problem={"resources": 3, "budget": 4.0, "levels": 3},
+            rewards={"family": "hinge", "thetas": [0.5, 0.5, 0.5]},
+            smoothness=2.0,
+        )
+        assert unread == base
+        assert check(seed=4) != base
+        assert check(replications=6) != base
+
     @pytest.mark.parametrize(
         "raw,digest",
         [

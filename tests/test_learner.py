@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -277,6 +278,22 @@ class TestRun:
         trace = run(model, ExactDpSolver(cfg), cfg, 50, record_internals=True)
         upper = np.minimum(1.0, trace.emp_snapshots + trace.radius_snapshots)
         assert np.all(upper >= trace.emp_snapshots - 1e-12)
+
+    @pytest.mark.slow
+    def test_peak_memory_per_round(self):
+        # The trace keeps 40 bytes per round at K = 2 (levels, rewards and
+        # expected values); the noise is drawn one chunk of rounds at a time,
+        # so the whole (K, T) block of uniforms is never held.
+        model, cfg = flat_model(), native_cfg()
+        solver = ExactDpSolver(cfg)
+        horizon = 100_000
+        tracemalloc.start()
+        try:
+            run(model, solver, cfg, horizon)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / horizon < 52
 
     def test_validation(self):
         cfg = native_cfg()

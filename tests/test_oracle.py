@@ -181,6 +181,20 @@ class TestExactDp:
             res = ExactDpSolver(cfg).solve(means)
             assert (res.allocation.levels, res.value) == brute_force(means, cfg)
 
+    @pytest.mark.parametrize("resources", [4, 5])
+    def test_stored_choices_chain_under_heavy_ties(self, resources):
+        # Two or more middle rows, each picking its level from the stored
+        # choice table with ties on both value and units.
+        rng = np.random.default_rng(31 + resources)
+        pool = np.array([0.0, 0.25, 0.5])
+        for _ in range(40):
+            n = int(rng.integers(2, 5))
+            budget = float(rng.integers(n - 1, resources * (n - 1) + 2))
+            cfg = native_cfg(resources, budget, n)
+            means = pool[rng.integers(0, 3, size=(resources, n))]
+            res = ExactDpSolver(cfg).solve(means)
+            assert (res.allocation.levels, res.value) == brute_force(means, cfg)
+
     def test_deterministic_repeat(self):
         cfg = native_cfg(3, 4.0, 3)
         means = np.full((3, 3), 0.5)
