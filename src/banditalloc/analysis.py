@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -319,14 +319,22 @@ class CoverageObserver:
     predicts at most (pi^2 / 3) * arm_count such rounds in expectation,
     independent of the horizon. Holds the true means, so it lives strictly
     on the analysis side of the learner/analysis wall.
+
+    ``counts_at[h]`` is the count over rounds 1..h for each of the given
+    ``horizons`` the run reaches, so one long run answers every shorter
+    horizon.
     """
 
-    def __init__(self, mean_matrix: np.ndarray):
+    def __init__(self, mean_matrix: np.ndarray, horizons: Iterable[int] = ()):
         self._mu = np.asarray(mean_matrix, dtype=np.float64)
+        self._marks = frozenset(horizons)
         self.count = 0
         self.rounds = 0
+        self.counts_at: dict[int, int] = {}
 
     def __call__(self, t: int, emp_means: np.ndarray, radii: np.ndarray) -> None:
         self.rounds += 1
         if (np.abs(emp_means - self._mu) >= radii).any():
             self.count += 1
+        if t in self._marks:
+            self.counts_at[t] = self.count

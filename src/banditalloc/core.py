@@ -9,6 +9,7 @@ vectors that fit it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator
 
 import numpy as np
@@ -114,18 +115,20 @@ class ProblemConfig:
 
 
 def iter_feasible_levels(cfg: ProblemConfig) -> Iterator[tuple[int, ...]]:
-    """Yield every feasible level vector, in lexicographic order."""
-    n = cfg.space.n
-    resources = cfg.resources
-    prefix: list[int] = []
+    """Every feasible level vector, in lexicographic order.
 
-    def rec(remaining: int, k: int) -> Iterator[tuple[int, ...]]:
-        if k == resources:
-            yield tuple(prefix)
+    The first K - 1 resources are walked in Python; the last resource's
+    levels are appended to each prefix by ``map`` over precomputed 1-tuples,
+    so a row costs one tuple concatenation in C."""
+    n = cfg.space.n
+    last = cfg.resources - 1
+    tails = [(a,) for a in range(n)]
+
+    def rows(prefix: tuple[int, ...], remaining: int) -> Iterator[Iterator]:
+        if len(prefix) == last:
+            yield map(prefix.__add__, tails[: min(n - 1, remaining) + 1])
             return
         for a in range(min(n - 1, remaining) + 1):
-            prefix.append(a)
-            yield from rec(remaining - a, k + 1)
-            prefix.pop()
+            yield from rows(prefix + (a,), remaining - a)
 
-    yield from rec(cfg.capacity_units, 0)
+    return chain.from_iterable(rows((), cfg.capacity_units))

@@ -19,7 +19,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -433,9 +433,8 @@ def _write_csv(path: Path, header: Iterable[str], rows, meta: dict) -> None:
         raise
 
 
-def _write_trace_csv(
-    path: Path, trace: RunTrace, meta: dict
-) -> None:
+def _write_trace_csv(path: Path, trace: RunTrace, rounds: int, meta: dict) -> None:
+    """Write the first ``rounds`` rounds of ``trace``."""
     resources = trace.levels.shape[1]
     header = (
         ["round"]
@@ -445,7 +444,7 @@ def _write_trace_csv(
     )
     rows = (
         [t + 1, *trace.levels[t], *trace.rewards[t], trace.expected[t]]
-        for t in range(len(trace))
+        for t in range(rounds)
     )
     _write_csv(path, header, rows, meta)
 
@@ -453,30 +452,37 @@ def _write_trace_csv(
 # -- replication workers ------------------------------------------------------
 
 
-def _bandit_task(payload: tuple) -> tuple[np.ndarray, int]:
-    """Run one replication on an instance the parent built; returns
-    (per-round expected rewards, coverage violation count). Top level so
-    process pools can pickle it."""
-    config, cfg, horizon, rep, out = payload
+def _bandit_task(payload: tuple) -> tuple[np.ndarray, list[int]]:
+    """Run one replication once, to the longest of ``horizons``, on an
+    instance the parent built; returns (per-round expected rewards of that
+    run, coverage violation count at each horizon). Top level so process
+    pools can pickle it.
+
+    The learner is anytime: round t's radius, noise and coin flips do not
+    depend on the horizon, so the run of horizon h is the first h rounds of
+    this one. Each horizon's trace file holds that prefix, and its
+    violation count covers rounds 1..h."""
+    config, cfg, horizons, rep, out = payload
     rng_seed = streams.mix_seed(config.seed, rep)
     model = build_model(config, rng_seed)
     solver = build_solver(config.oracle, cfg, seed=rng_seed)
-    observer = CoverageObserver(model.mean_matrix(cfg.space))
-    trace = run(model, solver, cfg, horizon, observer=observer)
+    observer = CoverageObserver(model.mean_matrix(cfg.space), horizons)
+    trace = run(model, solver, cfg, horizons[-1], observer=observer)
     if config.write_traces:
-        meta = {
-            "config_hash": config.config_hash(),
-            "mode": config.mode,
-            "horizon": horizon,
-            "replication": rep,
-            "rng_seed": rng_seed,
-        }
-        if cfg.space.is_grid:
-            meta["epsilon"] = repr(cfg.space.pitch)
-            meta["N"] = cfg.space.n
-        name = f"trace_{config.mode}_T{horizon}_rep{rep}.csv"
-        _write_trace_csv(Path(out) / "traces" / name, trace, meta)
-    return trace.expected, observer.count
+        for horizon in horizons:
+            meta = {
+                "config_hash": config.config_hash(),
+                "mode": config.mode,
+                "horizon": horizon,
+                "replication": rep,
+                "rng_seed": rng_seed,
+            }
+            if cfg.space.is_grid:
+                meta["epsilon"] = repr(cfg.space.pitch)
+                meta["N"] = cfg.space.n
+            name = f"trace_{config.mode}_T{horizon}_rep{rep}.csv"
+            _write_trace_csv(Path(out) / "traces" / name, trace, horizon, meta)
+    return trace.expected, [observer.counts_at[h] for h in horizons]
 
 
 def _map_ordered(fn, payloads: list, jobs: int) -> Iterator:
@@ -544,31 +550,80 @@ def _safe_gaps(
 
 
 def _instances(config: ExperimentConfig, model: RewardModel) -> Iterator[tuple]:
-    """(horizon, instance, gaps, benchmark, grid pitch) for each horizon,
-    with every instance built once. dra plays the native levels (pitch None)
-    against alpha * beta * opt at every horizon; cra plays each horizon's
-    planned grid against alpha * beta * reference.hi of one continuous
-    reference."""
+    """(horizons, instance, gaps, benchmark, grid pitch) for each run of
+    consecutive horizons that play an equal instance against an equal
+    benchmark, with every instance built once. The horizons of one group
+    share their replications: each runs once, to the group's longest
+    horizon. dra plays the native levels (pitch None) against
+    alpha * beta * opt, so all its horizons form one group. cra plays each
+    horizon's planned grid against alpha * beta * reference.hi of one
+    continuous reference, so a horizon joins the previous group only when
+    its plan gives the same grid, as two plans capped at max_levels do."""
     scale = config.oracle.alpha * config.oracle.beta
     if config.mode == "dra":
         cfg = _native_config(config)
         benchmark = scale * compute_opt(model, cfg)
         gaps = _safe_gaps(model, cfg, config.oracle.alpha)
-        for horizon in config.horizons:
-            yield horizon, cfg, gaps, benchmark, None
+        yield config.horizons, cfg, gaps, benchmark, None
         return
     resources, budget = config.problem.resources, config.problem.budget
     reference = compute_continuous_reference(
         model, budget, config.reference_refinement
     )
     lip = model.lipschitz_constant() if config.lipschitz is None else config.lipschitz
+    groups = []  # (horizons, instance, pitch)
     for horizon in config.horizons:
         plan = plan_discretization(
             config.smoothness, budget, lip, resources, horizon, config.max_levels
         )
         cfg = ProblemConfig(resources=resources, budget=budget, space=plan.grid)
+        if groups and groups[-1][1] == cfg:
+            groups[-1][0].append(horizon)
+        else:
+            groups.append(([horizon], cfg, plan.pitch))
+    for horizons, cfg, pitch in groups:
         gaps = _safe_gaps(model, cfg, config.oracle.alpha)
-        yield horizon, cfg, gaps, scale * reference.hi, plan.pitch
+        yield tuple(horizons), cfg, gaps, scale * reference.hi, pitch
+
+
+def _replications(
+    config: ExperimentConfig, model: RewardModel, out_dir: Path
+) -> Iterator[tuple]:
+    """(horizon, instance, gaps, grid pitch, finals, violation counts,
+    curve sums) for each horizon in order, over the groups of _instances.
+    Every (group, replication) goes through one call of _map_ordered, so a
+    run starts at most one process pool, and each group's replications are
+    folded as they arrive. The curve sums are the sums over replications of
+    the cumulative regret and of its square. A group keeps one (longest,)
+    pair: np.cumsum adds in order and the fold is elementwise, so the first
+    h entries are exactly what a run of horizon h alone would give."""
+    reps = config.replications
+    groups = list(_instances(config, model))
+    payloads = [
+        (config, cfg, horizons, rep, str(out_dir))
+        for horizons, cfg, *_ in groups
+        for rep in range(reps)
+    ]
+    # closing() shuts the pool down once the last result is read, although
+    # zip leaves the generator suspended at its final yield.
+    with closing(_map_ordered(_bandit_task, payloads, config.jobs)) as results:
+        for horizons, cfg, gaps, benchmark, epsilon in groups:
+            finals = {horizon: [] for horizon in horizons}
+            coverage = {horizon: [] for horizon in horizons}
+            cum_sum = np.zeros(horizons[-1])
+            cum_sq = np.zeros(horizons[-1])
+            for _, (expected, counts) in zip(range(reps), results):
+                series = np.cumsum(benchmark - expected)
+                for horizon, violations in zip(horizons, counts):
+                    finals[horizon].append(float(series[horizon - 1]))
+                    coverage[horizon].append(violations)
+                cum_sum += series
+                cum_sq += series * series
+            for horizon in horizons:
+                yield (
+                    horizon, cfg, gaps, epsilon, finals[horizon], coverage[horizon],
+                    cum_sum[:horizon], cum_sq[:horizon],
+                )
 
 
 def _run_bandit_modes(config: ExperimentConfig, out_dir: Path) -> ExperimentSummary:
@@ -577,25 +632,10 @@ def _run_bandit_modes(config: ExperimentConfig, out_dir: Path) -> ExperimentSumm
     if config.write_traces:
         (out_dir / "traces").mkdir(parents=True, exist_ok=True)
 
-    for horizon, cfg, gaps, benchmark, epsilon in _instances(config, model0):
-        payloads = [
-            (config, cfg, horizon, rep, str(out_dir))
-            for rep in range(config.replications)
-        ]
-        finals = []
-        coverage = []
-        cum_sum = np.zeros(horizon)
-        cum_sq = np.zeros(horizon)
-        for expected, violations in _map_ordered(
-            _bandit_task, payloads, config.jobs
-        ):
-            series = np.cumsum(benchmark - expected)
-            finals.append(float(series[-1]))
-            coverage.append(violations)
-            cum_sum += series
-            cum_sq += series * series
-
-        reps = config.replications
+    reps = config.replications
+    for horizon, cfg, gaps, epsilon, finals, coverage, cum_sum, cum_sq in _replications(
+        config, model0, out_dir
+    ):
         finals_arr = np.asarray(finals)
         curve_mean = cum_sum / reps
         if reps > 1:

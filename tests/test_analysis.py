@@ -403,6 +403,15 @@ class TestCoverage:
         observer(2, emp, radii)
         assert observer.count == 1 and observer.rounds == 2
 
+    def test_counts_at_horizons(self):
+        observer = CoverageObserver(np.array([[0.5, 0.5]]), horizons=(2, 4))
+        emp = np.array([[0.9, 0.5]])
+        tight, loose = np.full((1, 2), 0.1), np.full((1, 2), 1.0)
+        for t, radii in enumerate([tight, loose, tight, tight, tight], start=1):
+            observer(t, emp, radii)
+        assert observer.counts_at == {2: 1, 4: 3}
+        assert observer.count == 4
+
     def test_untried_arms_cannot_violate(self):
         observer = CoverageObserver(np.array([[0.5, 0.5]]))
         observer(1, np.zeros((1, 2)), np.full((1, 2), np.inf))

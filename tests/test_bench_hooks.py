@@ -4,9 +4,9 @@ bench/tracing.py times each layer by swapping names in the modules that use
 them (``banditalloc.experiment``'s ``plan_discretization``,
 ``compute_continuous_reference`` and the rest). It raises KeyError when a
 name it swaps is gone, and it silently sees nothing when the harness reaches
-a layer some other way. This runs a small cra config through ``cli.main``
-inside ``tracing.instrument`` and checks the run, its bytes and its spans.
-Only reads bench/.
+a layer some other way. This runs small cra and dra configs through
+``cli.main`` inside ``tracing.instrument`` and checks the runs, their bytes
+and their spans. Only reads bench/.
 """
 
 from __future__ import annotations
@@ -22,6 +22,16 @@ from banditalloc import cli
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 HORIZONS = [20, 60]
+DRA_REPLICATIONS = 3
+DRA_CONFIG = {
+    "mode": "dra",
+    "seed": 3,
+    "problem": {"resources": 2, "budget": 2.0, "levels": 3},
+    "rewards": {"family": "table", "probs": [[0.1, 0.5, 0.6], [0.05, 0.3, 0.9]]},
+    "horizons": HORIZONS,
+    "replications": DRA_REPLICATIONS,
+    "write_traces": True,
+}
 CONFIG = {
     "mode": "cra",
     "seed": 3,
@@ -73,3 +83,23 @@ def test_traced_cra_run_matches_and_sees_each_layer_once(tmp_path):
 
     assert tracer.names.count("analysis.reference") == 1
     assert tracer.names.count("continuous.plan") == len(HORIZONS)
+
+
+def test_traced_dra_run_runs_each_replication_once(tmp_path):
+    # dra plays one instance at every horizon, so each replication runs
+    # once, to the longest horizon, and the shorter one reads its prefix.
+    tracing = _load_tracing()
+    config = tmp_path / "dra.json"
+    config.write_text(json.dumps(DRA_CONFIG))
+
+    code, plain = _run(config, tmp_path / "plain")
+    assert code == 0
+
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        code, traced = _run(config, tmp_path / "traced")
+    assert code == 0
+    assert traced == plain
+
+    assert tracer.names.count("learner.run") == DRA_REPLICATIONS
+    assert tracer.rounds == DRA_REPLICATIONS * max(HORIZONS)

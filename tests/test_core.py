@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from banditalloc import ActionSpace, ProblemConfig, iter_feasible_levels
@@ -154,6 +156,13 @@ class TestEnumeration:
         for lv in allocs:
             assert len(lv) == resources and 0 <= min(lv) and max(lv) < n
             assert sum(lv) <= cfg.capacity_units
+        # the same rows in the same (lexicographic) order as filtering the
+        # full product
+        assert allocs == [
+            lv
+            for lv in itertools.product(range(n), repeat=resources)
+            if sum(lv) <= cfg.capacity_units
+        ]
 
     def test_grid_count_uses_units(self):
         cfg = ProblemConfig(

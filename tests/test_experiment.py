@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -526,20 +527,27 @@ def test_trace_files(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "jobs,reps,cpus,pools",
+    "jobs,reps,cpus,pools,horizons",
     [
-        (8, 3, 16, [3]),
-        (2, 4, 2, [2]),
-        (8, 4, 1, []),
-        (8, 4, None, []),
-        (1, 4, 16, []),
-        (4, 1, 16, []),
+        (8, 3, 16, [3], [20]),
+        (2, 4, 2, [2], [20]),
+        (8, 4, 1, [], [20]),
+        (8, 4, None, [], [20]),
+        (1, 4, 16, [], [20]),
+        (4, 1, 16, [], [20]),
+        (2, 4, 2, [2], [20, 40]),
     ],
-    ids=["reps-cap", "jobs", "one-cpu", "unknown-cpus", "serial", "one-rep"],
+    ids=[
+        "reps-cap", "jobs", "one-cpu", "unknown-cpus", "serial", "one-rep",
+        "two-horizons",
+    ],
 )
-def test_worker_count_is_capped(monkeypatch, tmp_path, jobs, reps, cpus, pools):
+def test_worker_count_is_capped(
+    monkeypatch, tmp_path, jobs, reps, cpus, pools, horizons
+):
     # The pool starts all of its workers on the first submit, so it must
-    # never be asked for more than there are replications or CPUs.
+    # never be asked for more than there are replications or CPUs. A run
+    # starts one pool, however many horizons it has.
     created = []
 
     class RecordingPool:
@@ -557,9 +565,106 @@ def test_worker_count_is_capped(monkeypatch, tmp_path, jobs, reps, cpus, pools):
 
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(experiment.os, "cpu_count", lambda: cpus)
-    raw = dra_dict(horizons=[20], replications=reps, jobs=jobs, out=str(tmp_path))
+    raw = dra_dict(horizons=horizons, replications=reps, jobs=jobs, out=str(tmp_path))
     run_experiment(ExperimentConfig.from_dict(raw))
     assert created == pools
+
+
+def _csv_files(out):
+    """Every CSV under ``out``, by relative path, as lists of lines."""
+    return {
+        str(p.relative_to(out)): p.read_text().splitlines()
+        for p in sorted(out.rglob("*.csv"))
+    }
+
+
+def _without_hash(lines):
+    return [line for line in lines if not line.startswith("# config_hash=")]
+
+
+class TestSharedRuns:
+    """Horizons that play one instance share each replication's run; what a
+    horizon writes reads a prefix of it. None of that may show in the
+    files: each equals, line for line apart from the config hash, the file
+    of a run configured with that horizon alone."""
+
+    CASES = {
+        "dra-table-traces": dra_dict(write_traces=True),
+        "dra-greedy-coin-jobs": dra_dict(
+            oracle={"kind": "greedy", "beta": 0.9}, jobs=2, write_traces=True
+        ),
+        # max_levels 4 caps both plans, so both horizons play one grid.
+        "cra-capped-grid": cra_dict(max_levels=4, write_traces=True),
+    }
+
+    class EveryThirdRound(experiment.CoverageObserver):
+        """Sees a violation in every third round, where zero radii put
+        every arm outside its interval, so the count grows between the
+        horizons; the real observer counts none on these instances."""
+
+        def __call__(self, t, emp_means, radii):
+            super().__call__(t, emp_means, radii if t % 3 else 0.0 * radii)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_files_equal_single_horizon_runs(self, case, tmp_path, monkeypatch):
+        monkeypatch.setattr(experiment, "CoverageObserver", self.EveryThirdRound)
+        raw = self.CASES[case]
+        shared_out = tmp_path / "shared"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # capped plans warn
+            run_experiment(ExperimentConfig.from_dict({**raw, "out": str(shared_out)}))
+            alone = {}
+            for horizon in raw["horizons"]:
+                out = tmp_path / f"T{horizon}"
+                run_experiment(
+                    ExperimentConfig.from_dict(
+                        {**raw, "horizons": [horizon], "out": str(out)}
+                    )
+                )
+                alone[horizon] = out
+        shared = _csv_files(shared_out)
+        _, header, rows = read_csv(shared_out / "aggregate.csv")
+        assert header[-1] == "lemma1_violations"
+        assert [float(row[-1]) for row in rows] == [h // 3 for h in raw["horizons"]]
+        compared = {"aggregate.csv"}
+        for (horizon, out), row in zip(alone.items(), rows):
+            _, _, alone_rows = read_csv(out / "aggregate.csv")
+            assert alone_rows == [row]
+            for name, lines in _csv_files(out).items():
+                if name != "aggregate.csv":
+                    assert _without_hash(shared[name]) == _without_hash(lines), name
+                    compared.add(name)
+        assert compared == set(shared)
+        assert sum(name.startswith("traces") for name in compared) == 2 * 3
+
+
+class TestWorkIsShared:
+    @staticmethod
+    def recorded_horizons(monkeypatch, raw):
+        horizons = []
+        original = experiment.run
+
+        def recording_run(model, solver, cfg, horizon, **kwargs):
+            horizons.append(horizon)
+            return original(model, solver, cfg, horizon, **kwargs)
+
+        monkeypatch.setattr(experiment, "run", recording_run)
+        run_experiment(ExperimentConfig.from_dict(raw))
+        return horizons
+
+    def test_dra_runs_each_replication_once(self, monkeypatch, tmp_path):
+        raw = dra_dict(out=str(tmp_path))
+        assert self.recorded_horizons(monkeypatch, raw) == [200, 200, 200]
+
+    def test_cra_distinct_grids_run_per_horizon(self, monkeypatch, tmp_path):
+        raw = cra_dict(out=str(tmp_path))
+        assert self.recorded_horizons(monkeypatch, raw) == [60] * 3 + [240] * 3
+
+    def test_cra_equal_grids_share_runs(self, monkeypatch, tmp_path):
+        raw = cra_dict(max_levels=4, out=str(tmp_path))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # capped plans warn
+            assert self.recorded_horizons(monkeypatch, raw) == [240] * 3
 
 
 class TestAtomicCsv:
