@@ -26,6 +26,10 @@ MAX_ENUMERATION = 10**7
 
 _CHUNK_ROWS = 1 << 15
 
+#: Ceiling on reference_memory_bytes for the continuous references of an
+#: experiment config; a config above it is rejected before anything runs.
+REFERENCE_MEMORY_CEILING = 1 << 30
+
 
 class EnumerationInfeasibleError(ValueError):
     """The instance's action space is too large to enumerate exactly."""
@@ -123,6 +127,20 @@ def compute_continuous_reference(
     lo = compute_opt(model, grid)
     hi = lo + lipschitz * model.k_count * pitch
     return ReferenceInterval(lo=lo, hi=hi, pitch=pitch)
+
+
+def reference_memory_bytes(resources: int, refinement: int) -> int:
+    """Estimated peak memory of compute_continuous_reference, in bytes.
+
+    Its grid has refinement + 1 levels and refinement budget units. With
+    three or more resources the exact DP holds an int64 gather index and a
+    float64 candidate table of (refinement + 1)^2 entries each; every
+    instance also holds a few rows of resources x (refinement + 2) floats
+    (the mean matrix, the suffix rows and the stored choices).
+    """
+    side = refinement + 1
+    square = 16 * side * side if resources > 2 else 0
+    return square + 32 * resources * (side + 1)
 
 
 def compute_gaps(

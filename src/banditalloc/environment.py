@@ -125,41 +125,68 @@ class RewardModel:
         arm's level and uniform, and resource k's entry is returned, so the
         draw is the one the runner sees when it plays the arm at round t.
         """
-        self.check_space(space)
+        table = self.success_table(space)
         if t < 1:
             raise ValueError(f"round index starts at 1, got {t}")
         if not 1 <= arm.k <= self.k_count:
             raise ValueError(f"resource index {arm.k} out of range")
-        value = space.value(arm.a)
+        space.value(arm.a)  # raises on a level outside the space
         u = streams.uniform_at(self.rng_seed, arm.k, t)
         resources = self.k_count
         rewards = self.rewards_from_uniforms(
-            np.full(resources, arm.a), np.full(resources, value), np.full(resources, u)
+            table, np.full(resources, arm.a), np.full(resources, u)
         )
-        return float(rewards[arm.k - 1])
+        return rewards[arm.k - 1]
 
     def uniform_block(self, k: int, start: int, count: int) -> np.ndarray:
         """The raw uniforms behind resource k's rewards for rounds
         start..start+count-1."""
         return streams.uniform_block(self.rng_seed, k, start, count)
 
-    def rewards_from_uniforms(
-        self, levels: np.ndarray, values: np.ndarray, u: np.ndarray
-    ) -> np.ndarray:
-        """Vectorized reward transform for one round.
+    def success_table(self, space: ActionSpace) -> tuple:
+        """The per-(resource, level) constants of the reward transform on a
+        level space, as nested lists that rewards_from_uniforms reads.
 
-        ``levels`` are the chosen level indices, ``values`` their budget
-        values and ``u`` one uniform per resource (the round's slice of
-        uniform_block output).
+        For ``table`` and ``concave_exp`` it is a (thresholds, gains) pair:
+        resource k at level a earns gains[k][a] when its uniform is below
+        thresholds[k][a], and 0 otherwise. ``table`` succeeds with
+        probs[k][a] and earns 1; ``concave_exp`` succeeds with p_k and earns
+        1 - exp(-v_a / theta_k). For ``hinge`` it is (values, scales, Q):
+        the level values, theta_k * Q per resource, and the budget Q.
+        Build it once per space; a round then costs one lookup per resource.
         """
+        self.check_space(space)
+        n = space.n
         if self.family == "table":
-            picked = self.probs[np.arange(levels.shape[0]), levels]
-            return (u < picked).astype(np.float64)
+            return self.probs.tolist(), [[1.0] * n] * self.k_count
         if self.family == "hinge":
-            requirement = self.thetas * self.budget * u
-            return np.maximum(values - requirement, 0.0) / self.budget
-        met = u < self.success_probs
-        return np.where(met, 1.0 - np.exp(-values / self.thetas), 0.0)
+            scales = (self.thetas * self.budget).tolist()
+            return space.level_values.tolist(), scales, self.budget
+        gains = 1.0 - np.exp(-space.level_values[None, :] / self.thetas[:, None])
+        return [[p] * n for p in self.success_probs.tolist()], gains.tolist()
+
+    def rewards_from_uniforms(
+        self, table: tuple, levels: np.ndarray, u: np.ndarray
+    ) -> list[float]:
+        """The reward transform for one round.
+
+        ``table`` is success_table's output for the space being played,
+        ``levels`` holds the chosen level index and ``u`` the uniform of
+        each resource (the round's slice of uniform_block output). Returns
+        one reward per resource.
+        """
+        levels, u = levels.tolist(), u.tolist()
+        if self.family == "hinge":
+            values, scales, budget = table
+            return [
+                max(values[a] - scale * x, 0.0) / budget
+                for a, scale, x in zip(levels, scales, u)
+            ]
+        thresholds, gains = table
+        return [
+            gain[a] if x < limit[a] else 0.0
+            for a, limit, gain, x in zip(levels, thresholds, gains, u)
+        ]
 
     # -- closed-form moments ----------------------------------------------
 

@@ -28,6 +28,7 @@ import numpy as np
 
 from . import streams
 from .analysis import (
+    REFERENCE_MEMORY_CEILING,
     BoundParams,
     CoverageObserver,
     EnumerationInfeasibleError,
@@ -38,6 +39,7 @@ from .analysis import (
     compute_opt,
     dependent_regret_bound,
     independent_regret_bound,
+    reference_memory_bytes,
 )
 from .continuous import DEFAULT_MAX_LEVELS, plan_discretization
 from .core import ActionSpace, ProblemConfig, iter_feasible_levels
@@ -376,6 +378,15 @@ def _check_config(config: ExperimentConfig) -> None:
     if mode in ("dra", "bounds"):
         with _field_errors("field rewards."):
             model.check_space(cfg.space)
+    if mode == "cra":
+        need = reference_memory_bytes(problem.resources, config.reference_refinement)
+        if need > REFERENCE_MEMORY_CEILING:
+            raise ConfigurationError(
+                f"field reference_refinement {config.reference_refinement} needs "
+                f"~{need / 2**20:.0f} MiB for the reference DP on "
+                f"{problem.resources} resources, above the "
+                f"{REFERENCE_MEMORY_CEILING / 2**20:.0f} MiB ceiling"
+            )
     with _field_errors("field "):
         BoundParams(config.smoothness)
 

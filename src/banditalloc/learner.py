@@ -146,13 +146,12 @@ def run(
         raise ValueError(
             f"model covers {model.k_count} resources, instance has {cfg.resources}"
         )
-    model.check_space(cfg.space)
+    table = model.success_table(cfg.space)  # raises if the space does not fit
     if solver.cfg is not cfg and solver.cfg != cfg:
         raise ValueError("solver was built for a different instance")
 
     resources = cfg.resources
     n = cfg.space.n
-    level_values = cfg.space.level_values
     mean_mat = model.mean_matrix(cfg.space)
 
     counts = np.zeros((resources, n), dtype=np.int64)
@@ -187,13 +186,12 @@ def run(
             if observer is not None:
                 observer(t, emp_means, radii)
             levels = solver.solve_levels(_clamp_upper(emp_means, radii, upper))
-            rewards = model.rewards_from_uniforms(
-                levels, level_values[levels], uniforms[:, t - start]
-            )
-            level_list, reward_list = levels.tolist(), rewards.tolist()
-            if min(reward_list) < 0.0 or max(reward_list) > 1.0:
-                raise AssertionError("environment produced a reward outside [0, 1]")
-            first_pulls = _fold(counts, emp_means, level_list, reward_list, twice_counts)
+            rewards = model.rewards_from_uniforms(table, levels, uniforms[:, t - start])
+            for reward in rewards:
+                # Written so that NaN fails too.
+                if not 0.0 <= reward <= 1.0:
+                    raise AssertionError("environment produced a reward outside [0, 1]")
+            first_pulls = _fold(counts, emp_means, levels.tolist(), rewards, twice_counts)
             if first_pulls:
                 untried -= first_pulls
                 np.greater(counts, 0, out=tried)

@@ -15,10 +15,6 @@ import numpy as np
 from . import streams
 from .core import Allocation, ProblemConfig
 
-# "no solution" marker in the tie-break units table; large enough that no real
-# unit total gets near it, small enough that adding level costs cannot wrap.
-_UNITS_SENTINEL = np.int64(1) << 40
-
 # Success coins CoinFlipOracle draws per refill of its buffer.
 _COIN_BLOCK = 1024
 
@@ -110,23 +106,33 @@ class _SolverBase:
 class ExactDpSolver(_SolverBase):
     """Exact multiple-choice knapsack solver over integer budget units.
 
-    Level i costs i units (one unit = the space pitch). The suffix table
-    suf_v[k][c] holds the best value attainable from resources k.. with c
-    units left, and suf_u[k][c] the fewest units spent among those
-    maximizers. The backward pass also stores, in choice[k][c], the level it
-    picks for resource k: the lowest level among the fewest-unit maximizers.
-    Ties therefore resolve toward the smaller total budget, then toward the
-    lexicographically smallest level vector, and the forward pass only reads
-    the stored choices, so identical inputs always produce identical
-    allocations.
+    Level i costs i units (one unit = the space pitch). Row k of the suffix
+    table holds, at column c, the best value attainable from resources k..
+    with c units left. The backward pass also stores, in choice[k][c], the
+    level it picks for resource k: the lowest level among the fewest-unit
+    maximizers. Ties therefore resolve toward the smaller total budget, then
+    toward the lexicographically smallest level vector, and the forward pass
+    only reads the stored choices, so identical inputs always produce
+    identical allocations.
 
-    Only the rows of middle resources are built from full (n, cap + 1)
-    candidate tables. The last row is a running maximum of the last
-    resource's values, because the row after it is all zeros; its units are
-    where that maximum first appears. With no middle row they are looked up
-    only for the first row's tied candidates and the column the last
-    resource ends at. The first row is read only at column cap, so it is
-    solved there alone, with the same tie-break.
+    The units are read from the value rows, not kept in tables of their own:
+    the fewest units among the maximizers at column c is the first column
+    where the row reaches its value at c, row.searchsorted(row[c]). Every
+    value is a fold over an allocation accumulated from the last resource
+    backwards, independent of the capacity, and rounding is monotone, so
+    m + max(x) == max(m + x): a row's value at c is exactly the largest fold
+    among the allocations that spend at most c units. The row is
+    nondecreasing, and an allocation with the fewest units u among those
+    maximizers already reaches the value at column u, while no column
+    before u does. So every maximizer at that first column spends exactly u
+    units, and the choice at c is the first maximizer at column u.
+
+    Only the rows of middle resources are built from full (cap + 1, n)
+    candidate tables, gathered from the next row through one shared index
+    of the same shape; they are the solver's only tables of that size. The
+    last row is a running maximum of the last resource's values, because
+    the row after it is all zeros. The first row is read only at column
+    cap, so it is solved there alone, with the same tie-break.
     """
 
     def __init__(self, cfg: ProblemConfig):
@@ -134,53 +140,45 @@ class ExactDpSolver(_SolverBase):
         n, resources, cap = cfg.space.n, cfg.resources, self._cap
         self._n = n
         self._resources = resources
-        # The last row over columns 0..cap is the running maximum of the last
-        # resource's values: column c covers its levels 0..min(c, n-1). When
-        # cap reaches past level n-1 the values are padded with -inf.
-        self._last_row = np.empty(cap + 1)
-        self._last_in = np.full(cap + 1, -np.inf) if cap >= n else None
+        # The suffix row of resource k sits in columns 1..cap + 1 of
+        # padded[k]; column 0 stays -inf, the value of spending more units
+        # than are left. rows[k] is the row over columns 0..cap. The first
+        # row is solved at column cap alone, so only a single resource
+        # needs row 0.
+        skip = min(1, resources - 1)
+        suf = np.empty((resources - skip, cap + 2))
+        suf[:, 0] = -np.inf
+        self._padded = [None] * skip + list(suf)
+        self._rows = [None] * skip + list(suf[:, 1:])
         if resources > 2:
-            # Rows between the first and the last resource are full tables.
-            # gather[a, c] indexes the padded suffix row at c - a, with entry
-            # 0 of the padding acting as the "a exceeds c" sentinel.
-            self._suf_v = np.empty((resources, cap + 1))
-            self._suf_u = np.empty((resources, cap + 1), dtype=np.int64)
+            # gather[c, a] indexes a padded row at column c - a, or at the
+            # -inf column when level a costs more than c units.
+            self._gather = np.arange(1, cap + 2)[:, None] - np.arange(n)
+            np.maximum(self._gather, 0, out=self._gather)
+            self._cand = np.empty((cap + 1, n))
             self._choice = np.empty((resources, cap + 1), dtype=np.int64)
-            self._columns = np.arange(cap + 1)
-            offsets = self._columns[None, :] - np.arange(n)[:, None] + 1
-            self._gather = np.maximum(offsets, 0)
-            self._level_cost = np.arange(n, dtype=np.int64)[:, None]
-            self._pad_v = np.empty(cap + 2)
-            self._pad_u = np.empty(cap + 2, dtype=np.int64)
 
     def _levels(self, means: np.ndarray) -> np.ndarray:
         resources, n, cap = self._resources, self._n, self._cap
         last = resources - 1
-        if self._last_in is None:
-            last_row = np.maximum.accumulate(means[last, : cap + 1], out=self._last_row)
+        rows = self._rows
+        # The last row: column c covers the last resource's levels
+        # 0..min(c, n - 1).
+        last_row = rows[last]
+        if cap < n:
+            np.maximum.accumulate(means[last, : cap + 1], out=last_row)
         else:
-            self._last_in[:n] = means[last]
-            last_row = np.maximum.accumulate(self._last_in, out=self._last_row)
+            np.maximum.accumulate(means[last], out=last_row[:n])
+            last_row[n:] = last_row[n - 1]
 
-        if resources > 2:
-            suf_v, suf_u, choice = self._suf_v, self._suf_u, self._choice
-            suf_v[last] = last_row
-            suf_u[last] = last_row.searchsorted(last_row)
+        # mode="clip" writes straight into out (the default "raise" fills a
+        # temporary copy first); every index is in range anyway.
         for k in range(resources - 2, 0, -1):
-            pad_v, pad_u = self._pad_v, self._pad_u
-            pad_v[0] = -np.inf
-            pad_u[0] = _UNITS_SENTINEL
-            pad_v[1:] = suf_v[k + 1]
-            pad_u[1:] = suf_u[k + 1]
-            cand_v = pad_v[self._gather] + means[k][:, None]
-            cand_u = pad_u[self._gather] + self._level_cost
-            best_v = cand_v.max(axis=0)
-            # Units of the maximizers only; argmin's first minimum is the
-            # lowest level among the fewest-unit maximizers.
-            masked_u = np.where(cand_v == best_v[None, :], cand_u, _UNITS_SENTINEL)
-            choice[k] = masked_u.argmin(axis=0)
-            suf_v[k] = best_v
-            suf_u[k] = masked_u[choice[k], self._columns]
+            cand = self._padded[k + 1].take(self._gather, out=self._cand, mode="clip")
+            cand += means[k]
+            first = cand.argmax(axis=1)
+            row = cand.max(axis=1, out=rows[k])
+            first.take(row.searchsorted(row), out=self._choice[k], mode="clip")
 
         levels = []
         c = cap
@@ -188,22 +186,19 @@ class ExactDpSolver(_SolverBase):
             # The first row at column cap: candidates for levels 0..top read
             # the next row at cap, cap-1, ..., cap-top.
             top = min(n - 1, c)
-            next_row = last_row if last == 1 else suf_v[1]
+            next_row = rows[1]
             cand_v = means[0, : top + 1] + next_row[c - top : c + 1][::-1]
             # argmax returns the first maximizer; on the reversed row, the last.
             a = int(cand_v.argmax())
             if a != top - int(cand_v[::-1].argmax()):
                 # Tied values: the fewest units spent wins, then the lowest level.
                 tied = (cand_v == cand_v[a]).nonzero()[0]
-                if last == 1:
-                    tied_u = tied + last_row.searchsorted(last_row[c - tied])
-                else:
-                    tied_u = tied + suf_u[1, c - tied]
+                tied_u = tied + next_row.searchsorted(next_row[c - tied])
                 a = int(tied[tied_u.argmin()])
             levels.append(a)
             c -= a
         for k in range(1, last):
-            a = choice.item(k, c)
+            a = self._choice.item(k, c)
             levels.append(a)
             c -= a
         # Below the last resource nothing is spent, so its units are its level:

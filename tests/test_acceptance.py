@@ -321,10 +321,10 @@ def test_sampled_rewards_match_closed_form_means():
         for k in range(1, model.k_count + 1):
             u = model.uniform_block(k, 1, draws_per_arm)
             clone = _tiled_clone(model, k, draws_per_arm)
+            table = clone.success_table(space)
             for a in range(space.n):
                 levels = np.full(draws_per_arm, a, dtype=np.int64)
-                values = np.full(draws_per_arm, space.value(a))
-                draws = clone.rewards_from_uniforms(levels, values, u)
+                draws = np.array(clone.rewards_from_uniforms(table, levels, u))
                 for t in (1, 2, 17):  # block agrees with the pointwise sampler
                     assert draws[t - 1] == model.sample_reward(ArmId(k, a), space, t)
                 true = model.true_mean(ArmId(k, a), space)

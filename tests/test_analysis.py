@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,6 +93,19 @@ class TestContinuousReference:
         assert fine.hi - fine.lo < coarse.hi - coarse.lo
         assert fine.lo >= coarse.lo - 1e-12
         assert fine.hi <= coarse.hi + 1e-12
+
+    def test_peak_memory_three_resources(self):
+        # The exact DP keeps one (r + 1)^2 gather index and one candidate
+        # table of the same size; a units table beside them would push the
+        # peak past the bound.
+        model = RewardModel.concave_exp([0.9, 0.7, 0.8], [0.8, 0.5, 0.6], rng_seed=0)
+        tracemalloc.start()
+        try:
+            compute_continuous_reference(model, 1.0, refinement=512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_validation(self):
         model = RewardModel.hinge([1.0], budget=1.0, rng_seed=0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
-from banditalloc import ActionSpace, ArmId, RewardModel
+from banditalloc import ActionSpace, ArmId, RewardModel, plan_discretization
 from banditalloc import streams
 
 
@@ -278,7 +278,7 @@ class TestSharedContract:
         # the runner's vectorized transform must reproduce sample_reward on
         # every level; resource k plays level (shift + k) mod n, so each
         # shift mixes levels across resources and the shifts cover them all
-        values = space.level_values
+        table = model.success_table(space)
         resources = range(model.k_count)
         for t in (1, 5, 33):
             u = np.array(
@@ -286,7 +286,7 @@ class TestSharedContract:
             )
             for shift in range(space.n):
                 levels = (np.arange(model.k_count) + shift) % space.n
-                got = model.rewards_from_uniforms(levels, values[levels], u)
+                got = model.rewards_from_uniforms(table, levels, u)
                 for k in resources:
                     want = model.sample_reward(ArmId(k + 1, levels[k]), space, t)
                     assert got[k] == want
@@ -295,6 +295,81 @@ class TestSharedContract:
         a = [model.sample_reward(ArmId(1, space.n - 1), space, t) for t in range(1, 30)]
         b = [model.sample_reward(ArmId(1, space.n - 1), space, t) for t in range(1, 30)]
         assert a == b
+
+
+def numpy_rewards(model, levels, values, u):
+    """The per-family numpy reward formulas, evaluated on one round's (K,)
+    arrays of levels, level values and uniforms."""
+    if model.family == "table":
+        picked = model.probs[np.arange(levels.shape[0]), levels]
+        return (u < picked).astype(np.float64)
+    if model.family == "hinge":
+        requirement = model.thetas * model.budget * u
+        return np.maximum(values - requirement, 0.0) / model.budget
+    met = u < model.success_probs
+    return np.where(met, 1.0 - np.exp(-values / model.thetas), 0.0)
+
+
+def numpy_means(model, space):
+    """The per-family closed-form mean formulas over the level space."""
+    if model.family == "table":
+        return np.array(model.probs)
+    values = space.level_values[None, :]
+    if model.family == "hinge":
+        spread = (model.thetas * model.budget)[:, None]
+        below = values * values / (2.0 * spread)
+        above = values - spread / 2.0
+        return np.where(values <= spread, below, above) / model.budget
+    return model.success_probs[:, None] * (1.0 - np.exp(-values / model.thetas[:, None]))
+
+
+def workload_instances():
+    # The 3x4 acceptance table, the 6x6 hinge of the greedy-coin benchmark
+    # workload, and concave_exp on the grids planned at T = 10^3 .. 10^7.
+    probs = (
+        (0.014067035665647709, 0.2577672456246177, 0.47156538101528966, 0.0914196711073687),
+        (0.9791345000654033, 0.25608390326933783, 0.9355927732570025, 0.190052634671396),
+        (0.03609107425258373, 0.05584159755756546, 0.781876100713399, 0.45294745661602376),
+    )
+    yield "table", RewardModel.table(probs, rng_seed=7), ActionSpace.integer_levels(4)
+    thetas = (0.2, 0.35, 0.5, 0.65, 0.8, 0.95)
+    yield "hinge", RewardModel.hinge(thetas, 10.0, rng_seed=7), ActionSpace.integer_levels(6)
+    model = RewardModel.concave_exp((0.9, 0.7), (0.8, 0.5), rng_seed=7)
+    for horizon in (10**3, 10**4, 10**5, 10**6, 10**7):
+        plan = plan_discretization(1.0, 1.0, model.lipschitz_constant(), 2, horizon)
+        yield f"concave_exp-{plan.levels}", model, plan.grid
+
+
+class TestSuccessTable:
+    def test_planned_grid_sizes(self):
+        sizes = [space.n for _, _, space in workload_instances()]
+        assert sizes == [4, 6, 12, 22, 43, 85, 172]
+
+    @pytest.mark.parametrize(
+        "model,space",
+        [case[1:] for case in workload_instances()],
+        ids=[case[0] for case in workload_instances()],
+    )
+    def test_equals_numpy_formulas(self, model, space):
+        # every (level, u) pair: resource k plays level (shift + k) mod n,
+        # against block uniforms and the success thresholds themselves
+        table = model.success_table(space)
+        values = space.level_values
+        resources = model.k_count
+        edges = [0.0, 0.5, np.nextafter(1.0, 0.0)]
+        if model.family == "table":
+            edges += model.probs.ravel().tolist()
+        elif model.family == "concave_exp":
+            edges += model.success_probs.tolist()
+        uniforms = [np.full(resources, e) for e in edges]
+        uniforms += list(model.uniform_block(1, 1, 64 * resources).reshape(64, resources))
+        for shift in range(space.n):
+            levels = (np.arange(resources) + shift) % space.n
+            for u in uniforms:
+                got = model.rewards_from_uniforms(table, levels, u)
+                want = numpy_rewards(model, levels, values[levels], u).tolist()
+                assert got == want
+        assert np.array_equal(model.mean_matrix(space), numpy_means(model, space))
 
 
 class TestMonteCarloMeans:

@@ -294,6 +294,20 @@ BAD_CONFIGS = [
         "reference_refinement must be >= 2",
         id="reference-refinement-low",
     ),
+    # The reference DP on three resources holds ~16 (refinement + 1)^2 bytes.
+    pytest.param(
+        cra_dict(
+            problem={"resources": 3, "budget": 1.0},
+            rewards={
+                "family": "concave_exp",
+                "thetas": [0.8, 0.5, 0.6],
+                "success_probs": [0.9, 0.7, 0.8],
+            },
+            reference_refinement=8192,
+        ),
+        "reference_refinement 8192 needs .* MiB ceiling",
+        id="reference-refinement-memory",
+    ),
     # Non-finite parameters: NaN fails every comparison, so each range rule
     # is a membership test that NaN and infinity cannot pass.
     pytest.param(

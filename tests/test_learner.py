@@ -142,15 +142,15 @@ class TestUpdate:
         # rewards outside [0, 1] break the environment contract, and run
         # refuses to fold them
         cfg = native_cfg()
-        for bad in (1.1, -0.1):
+        for bad, horizon in ((1.1, 5), (-0.1, 5), (np.nan, 5), (np.nan, 1)):
 
             class OutOfRange(RewardModel):
-                def rewards_from_uniforms(self, levels, values, u):
+                def rewards_from_uniforms(self, table, levels, u):
                     return np.full(levels.shape, bad)
 
             model = OutOfRange(family="table", rng_seed=0, probs=np.full((2, 3), 0.5))
             with pytest.raises(AssertionError, match=r"outside \[0, 1\]"):
-                run(model, ExactDpSolver(cfg), cfg, 5)
+                run(model, ExactDpSolver(cfg), cfg, horizon)
 
 
 class TestSelectAllocation:

@@ -195,6 +195,38 @@ class TestExactDp:
             res = ExactDpSolver(cfg).solve(means)
             assert (res.allocation.levels, res.value) == brute_force(means, cfg)
 
+    @pytest.mark.parametrize("resources", [3, 4, 5])
+    def test_ties_everywhere(self, resources):
+        # All-equal means, and means clamped at 1.0 as in the learner's
+        # early rounds, with the capacity both at or past n units (the last
+        # row is padded) and below n - 1 units (a grid space).
+        rng = np.random.default_rng(41 + resources)
+        for case in range(60):
+            n = int(rng.integers(2, 6))
+            if case % 2:
+                units = int(rng.integers(n, resources * (n - 1) + 3))
+                cfg = native_cfg(resources, float(units), n)
+            else:
+                units = int(rng.integers(0, n - 1))
+                space = ActionSpace.uniform_grid(n, 0.25)
+                cfg = ProblemConfig(resources=resources, budget=units * 0.25, space=space)
+            assert cfg.capacity_units == units
+            if case % 4 < 2:
+                means = np.full((resources, n), float(rng.choice([0.0, 0.5, 1.0])))
+            else:
+                bumped = rng.choice([0.0, 0.25, 0.5, 0.75, 1.25], (resources, n))
+                means = np.minimum(bumped, 1.0)
+            res = ExactDpSolver(cfg).solve(means)
+            assert (res.allocation.levels, res.value) == brute_force(means, cfg)
+
+    def test_middle_row_prefers_fewer_units(self):
+        # At column 2 the middle resource's level 0 ties on value with its
+        # level 1, but only because the last resource then spends two units
+        # on its 0.5; (0, 1, 0) reaches the same value with one unit.
+        cfg = native_cfg(3, 2.0, 3)
+        means = np.array([[0.0, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]])
+        assert solve_exact_dp(means, cfg).allocation.levels == (0, 1, 0)
+
     def test_deterministic_repeat(self):
         cfg = native_cfg(3, 4.0, 3)
         means = np.full((3, 3), 0.5)
