@@ -21,6 +21,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing, contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -463,44 +464,59 @@ def _write_trace_csv(path: Path, trace: RunTrace, rounds: int, meta: dict) -> No
 # -- replication workers ------------------------------------------------------
 
 
-def _bandit_task(payload: tuple) -> tuple[np.ndarray, list[int]]:
-    """Run one replication once, to the longest of ``horizons``, on an
-    instance the parent built; returns (per-round expected rewards of that
-    run, coverage violation count at each horizon). Top level so process
-    pools can pickle it.
+def _bandit_task(payload: tuple) -> list[tuple[np.ndarray, list[int]]]:
+    """Run one block of replications in lockstep, each once, to the longest
+    of ``horizons``, on an instance the parent built; returns, per
+    replication in block order, (per-round expected rewards of its run,
+    coverage violation count at each horizon). Top level so process pools
+    can pickle it.
 
     The learner is anytime: round t's radius, noise and coin flips do not
     depend on the horizon, so the run of horizon h is the first h rounds of
     this one. Each horizon's trace file holds that prefix, and its
-    violation count covers rounds 1..h."""
-    config, cfg, horizons, rep, out = payload
-    rng_seed = streams.mix_seed(config.seed, rep)
-    model = build_model(config, rng_seed)
-    solver = build_solver(config.oracle, cfg, seed=rng_seed)
-    observer = CoverageObserver(model.mean_matrix(cfg.space), horizons)
-    trace = run(model, solver, cfg, horizons[-1], observer=observer)
+    violation count covers rounds 1..h. Without trace files no run keeps
+    its (T, K) levels and rewards."""
+    config, cfg, horizons, block, out = payload
+    seeds = [streams.mix_seed(config.seed, rep) for rep in block]
+    models = [build_model(config, rng_seed) for rng_seed in seeds]
+    solvers = [build_solver(config.oracle, cfg, seed=rng_seed) for rng_seed in seeds]
+    means = models[0].mean_matrix(cfg.space)
+    observers = [CoverageObserver(means, horizons) for _ in block]
+    traces = run(
+        models, solvers, cfg, horizons[-1],
+        observer=observers, record_history=config.write_traces,
+    )
     if config.write_traces:
-        for horizon in horizons:
-            meta = {
-                "config_hash": config.config_hash(),
-                "mode": config.mode,
-                "horizon": horizon,
-                "replication": rep,
-                "rng_seed": rng_seed,
-            }
-            if cfg.space.is_grid:
-                meta["epsilon"] = repr(cfg.space.pitch)
-                meta["N"] = cfg.space.n
-            name = f"trace_{config.mode}_T{horizon}_rep{rep}.csv"
-            _write_trace_csv(Path(out) / "traces" / name, trace, horizon, meta)
-    return trace.expected, [observer.counts_at[h] for h in horizons]
+        for rep, rng_seed, trace in zip(block, seeds, traces):
+            for horizon in horizons:
+                meta = {
+                    "config_hash": config.config_hash(),
+                    "mode": config.mode,
+                    "horizon": horizon,
+                    "replication": rep,
+                    "rng_seed": rng_seed,
+                }
+                if cfg.space.is_grid:
+                    meta["epsilon"] = repr(cfg.space.pitch)
+                    meta["N"] = cfg.space.n
+                name = f"trace_{config.mode}_T{horizon}_rep{rep}.csv"
+                _write_trace_csv(Path(out) / "traces" / name, trace, horizon, meta)
+    return [
+        (trace.expected, [observer.counts_at[h] for h in horizons])
+        for trace, observer in zip(traces, observers)
+    ]
+
+
+def _workers(jobs: int, tasks: int) -> int:
+    """Processes for ``tasks`` independent tasks: never more than the tasks
+    or the CPUs, since a pool starts every worker at once."""
+    return min(jobs, tasks, os.cpu_count() or 1)
 
 
 def _map_ordered(fn, payloads: list, jobs: int) -> Iterator:
     """Apply fn to payloads, preserving order. More than one worker fans out
-    to processes; the pool starts every worker at once, so there are never
-    more than the payloads or the CPUs."""
-    workers = min(jobs, len(payloads), os.cpu_count() or 1)
+    to processes."""
+    workers = _workers(jobs, len(payloads))
     if workers <= 1:
         yield from map(fn, payloads)
     else:
@@ -602,22 +618,28 @@ def _replications(
 ) -> Iterator[tuple]:
     """(horizon, instance, gaps, grid pitch, finals, violation counts,
     curve sums) for each horizon in order, over the groups of _instances.
-    Every (group, replication) goes through one call of _map_ordered, so a
-    run starts at most one process pool, and each group's replications are
-    folded as they arrive. The curve sums are the sums over replications of
-    the cumulative regret and of its square. A group keeps one (longest,)
-    pair: np.cumsum adds in order and the fold is elementwise, so the first
-    h entries are exactly what a run of horizon h alone would give."""
+    Each group's replications are split into one contiguous block per
+    worker, and each block runs in lockstep in one learner call; every
+    (group, block) goes through one call of _map_ordered, so a run starts
+    at most one process pool, and each group's replications are folded in
+    index order as they arrive. The curve sums are the sums over
+    replications of the cumulative regret and of its square. A group keeps
+    one (longest,) pair: np.cumsum adds in order and the fold is
+    elementwise, so the first h entries are exactly what a run of horizon h
+    alone would give."""
     reps = config.replications
     groups = list(_instances(config, model))
+    workers = _workers(config.jobs, reps)
+    cuts = [reps * i // workers for i in range(workers + 1)]
     payloads = [
-        (config, cfg, horizons, rep, str(out_dir))
+        (config, cfg, horizons, range(lo, hi), str(out_dir))
         for horizons, cfg, *_ in groups
-        for rep in range(reps)
+        for lo, hi in zip(cuts, cuts[1:])
     ]
     # closing() shuts the pool down once the last result is read, although
     # zip leaves the generator suspended at its final yield.
-    with closing(_map_ordered(_bandit_task, payloads, config.jobs)) as results:
+    with closing(_map_ordered(_bandit_task, payloads, config.jobs)) as blocks:
+        results = chain.from_iterable(blocks)
         for horizons, cfg, gaps, benchmark, epsilon in groups:
             finals = {horizon: [] for horizon in horizons}
             coverage = {horizon: [] for horizon in horizons}

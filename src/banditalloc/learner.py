@@ -16,21 +16,33 @@ rounds) the second resource's level-0 arm has mean 0.979, its optimistic
 value sits at 1, and its top level is never pulled: that resource's level
 counts end at [49958, 22, 20, 0]. There is no initial round-robin over the
 arms.
+
+run steps a block of independent runs ("lanes") of one instance in
+lockstep, one model, solver and observer per lane: the statistics of all
+lanes sit in (R, K, n) arrays, so the radii, the clamp and, when every lane
+runs the exact DP, the solver's backward pass cost one set of numpy calls
+per round for the whole block. The reward transform, the range check, the
+fold, the observers and the coin flips stay per lane, in the one-lane
+order, so every lane's trace equals the trace of that lane run alone. A
+one-lane run is the same loop with R = 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .core import ProblemConfig
 from .environment import RewardModel
-from .oracle import _SolverBase, allocation_value
+from .oracle import _lane_solver, _SolverBase, allocation_value
 
 # Rounds per batch of log evaluations in run().
 _LOG_CHUNK = 1024
+
+# observer(t, emp_means, radii), called at the start of round t.
+Observer = Callable[[int, np.ndarray, np.ndarray], None]
 
 
 @dataclass
@@ -81,8 +93,8 @@ def _fold(counts, emp_means, levels, rewards, twice_counts) -> int:
 class RunTrace:
     """Round-by-round record of one learning run."""
 
-    levels: np.ndarray  # (T, K) chosen level indices
-    rewards: np.ndarray  # (T, K) observed per-resource rewards
+    levels: np.ndarray | None  # (T, K) chosen level indices, None unless recorded
+    rewards: np.ndarray | None  # (T, K) observed per-resource rewards, likewise
     expected: np.ndarray  # (T,) true expected total reward of the played allocation
     config: ProblemConfig
     stats: ArmStats  # end-of-run counts and empirical means
@@ -107,103 +119,183 @@ def _snapshot_observer(emp_snap, rad_snap, then=None):
 
 
 def run(
-    model: RewardModel,
-    solver: _SolverBase,
+    model: RewardModel | Sequence[RewardModel],
+    solver: _SolverBase | Sequence[_SolverBase],
     cfg: ProblemConfig,
     horizon: int,
     record_internals: bool = False,
-    observer: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
-) -> RunTrace:
+    observer: Observer | Sequence[Observer | None] | None = None,
+    record_history: bool = True,
+) -> RunTrace | list[RunTrace]:
     """Run the learner for ``horizon`` rounds against a reward model.
 
     Parameters
     ----------
     model, solver, cfg:
-        Environment, offline solver and the instance both agree on.
+        Environment, offline solver and the instance both agree on. To run
+        a block of lanes in lockstep, pass a sequence of R models and a
+        sequence of R solvers, one per lane; the result is then a list of R
+        traces, each equal to the trace of a one-lane run of that lane. A
+        solver object listed for several lanes is called once per lane
+        each round.
     horizon:
         Number of rounds T >= 1.
     record_internals:
         Keep per-round empirical means and radii on the trace ((T, K, n)
-        arrays, so reserve memory accordingly). They are copied by an
-        observer that runs before ``observer``.
+        arrays per lane, so reserve memory accordingly). They are copied by
+        an observer that runs before ``observer``.
     observer:
         Optional callback observer(t, emp_means, radii) invoked with the
-        start-of-round statistics before the allocation is chosen. The
-        arrays are live views; observers must not mutate them. This is the
-        hook for diagnostics that need the true means, which the learner
-        itself never sees.
+        start-of-round statistics before the allocation is chosen; with
+        lanes, a sequence of R such callbacks (or None entries), each shown
+        its own lane. The arrays are live views; observers must not mutate
+        them. This is the hook for diagnostics that need the true means,
+        which the learner itself never sees.
+    record_history:
+        Keep the (T, K) levels and rewards on the trace. Without them a
+        trace holds its (T,) expected values and end-of-run statistics
+        only, and ``levels`` and ``rewards`` are None.
 
     Returns
     -------
-    RunTrace
+    RunTrace, or a list of them with lanes
         Per-round allocations, rewards and true expected values. The
         expected-value channel is computed from the model's closed-form
         means purely for analysis; no decision depends on it.
     """
+    lanes = not isinstance(model, RewardModel)
+    if lanes:
+        models, solvers = list(model), list(solver)
+        observers = [None] * len(models) if observer is None else list(observer)
+    else:
+        models, solvers, observers = [model], [solver], [observer]
+    if not models or len(solvers) != len(models) or len(observers) != len(models):
+        raise ValueError("lanes need one model, one solver and one observer slot each")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if model.k_count != cfg.resources:
-        raise ValueError(
-            f"model covers {model.k_count} resources, instance has {cfg.resources}"
-        )
-    table = model.success_table(cfg.space)  # raises if the space does not fit
-    if solver.cfg is not cfg and solver.cfg != cfg:
-        raise ValueError("solver was built for a different instance")
+    tables = []
+    for m, s in zip(models, solvers):
+        if m.k_count != cfg.resources:
+            raise ValueError(
+                f"model covers {m.k_count} resources, instance has {cfg.resources}"
+            )
+        tables.append(m.success_table(cfg.space))  # raises if the space does not fit
+        if s.cfg is not cfg and s.cfg != cfg:
+            raise ValueError("solver was built for a different instance")
+    # The clamp keeps every optimistic value in [0, 1], so the batched DP
+    # may skip the finiteness check.
+    solve = _lane_solver(solvers)
 
+    width = len(models)
     resources = cfg.resources
     n = cfg.space.n
-    mean_mat = model.mean_matrix(cfg.space)
+    shape = (width, resources, n)
 
-    counts = np.zeros((resources, n), dtype=np.int64)
-    emp_means = np.zeros((resources, n))
+    # Every lane's statistics are one (K, n) slice of a (R, K, n) block, so
+    # the radii and the clamp are computed for all lanes at once.
+    counts = np.zeros(shape, dtype=np.int64)
+    emp_means = np.zeros(shape)
     # The radii live in one buffer that starts at +inf; each round rewrites
     # the tried arms from 2 count (kept as floats) and 3 ln t, which is
     # evaluated per chunk of rounds: np.log over an array gives the same
     # doubles as np.log round by round.
-    twice_counts = np.zeros((resources, n))
-    tried = np.zeros((resources, n), dtype=bool)
+    twice_counts = np.zeros(shape)
+    tried = np.zeros(shape, dtype=bool)
     untried = tried.size
-    radii = np.full((resources, n), np.inf)
-    upper = np.empty((resources, n))
+    radii = np.full(shape, np.inf)
+    upper = np.empty(shape)
 
-    level_hist = np.empty((horizon, resources), dtype=np.int64)
-    reward_hist = np.empty((horizon, resources))
-    emp_snap = rad_snap = None
+    means = [m.mean_matrix(cfg.space) for m in models]
+    expected = [np.empty(horizon) for _ in models]
+    # The levels of a chunk of rounds go to the history when it is kept,
+    # and otherwise to a buffer of one chunk per lane, which is all the
+    # expected values need.
+    if record_history:
+        level_hist = [np.empty((horizon, resources), dtype=np.int64) for _ in models]
+        reward_hist = [np.empty((horizon, resources)) for _ in models]
+    else:
+        level_hist = reward_hist = [None] * width
+        chunk_levels = [np.empty((_LOG_CHUNK, resources), dtype=np.int64) for _ in models]
+    emp_snap = rad_snap = [None] * width
     if record_internals:
-        emp_snap = np.empty((horizon, resources, n))
-        rad_snap = np.empty((horizon, resources, n))
-        observer = _snapshot_observer(emp_snap, rad_snap, observer)
+        emp_snap = [np.empty((horizon, resources, n)) for _ in models]
+        rad_snap = [np.empty((horizon, resources, n)) for _ in models]
+        observers = [
+            _snapshot_observer(e, r, o) for e, r, o in zip(emp_snap, rad_snap, observers)
+        ]
+    watched = [
+        (o, e, r) for o, e, r in zip(observers, emp_means, radii) if o is not None
+    ]
 
     for start in range(1, horizon + 1, _LOG_CHUNK):
         stop = min(start + _LOG_CHUNK, horizon + 1)
+        chunk = slice(start - 1, stop - 1)
         scaled_logs = (3.0 * np.log(np.arange(start, stop, dtype=np.float64))).tolist()
-        # Philox addressing gives a round the same uniforms in any block.
-        uniforms = np.array(
-            [model.uniform_block(k, start, stop - start) for k in range(1, resources + 1)]
-        )
+        if record_history:
+            played = [history[chunk] for history in level_hist]
+        else:
+            played = [buffer[: stop - start] for buffer in chunk_levels]
+        # Philox addressing gives a round the same uniforms in any block;
+        # row i of a lane's (rounds, K) uniforms belongs to round start + i.
+        block = [
+            (
+                m,
+                table,
+                np.stack(
+                    [
+                        m.uniform_block(k, start, stop - start)
+                        for k in range(1, resources + 1)
+                    ],
+                    axis=1,
+                ),
+                *lane,
+            )
+            for m, table, *lane in zip(
+                models, tables, counts, emp_means, twice_counts, played, reward_hist
+            )
+        ]
         for t, scaled_log in zip(range(start, stop), scaled_logs):
             _radii_into(radii, twice_counts, tried if untried else True, scaled_log)
-            if observer is not None:
-                observer(t, emp_means, radii)
-            levels = solver.solve_levels(_clamp_upper(emp_means, radii, upper))
-            rewards = model.rewards_from_uniforms(table, levels, uniforms[:, t - start])
-            for reward in rewards:
-                # Written so that NaN fails too.
-                if not 0.0 <= reward <= 1.0:
-                    raise AssertionError("environment produced a reward outside [0, 1]")
-            first_pulls = _fold(counts, emp_means, levels.tolist(), rewards, twice_counts)
+            for observe, lane_emp, lane_radii in watched:
+                observe(t, lane_emp, lane_radii)
+            chosen = solve(_clamp_upper(emp_means, radii, upper))
+            first_pulls = 0
+            for lane, levels in zip(block, chosen):
+                (m, table, uniforms, lane_counts, lane_emp, lane_twice,
+                 lane_played, seen) = lane
+                rewards = m.rewards_from_uniforms(table, levels, uniforms[t - start])
+                for reward in rewards:
+                    # Written so that NaN fails too.
+                    if not 0.0 <= reward <= 1.0:
+                        raise AssertionError(
+                            "environment produced a reward outside [0, 1]"
+                        )
+                lane_played[t - start] = levels
+                if record_history:
+                    seen[t - 1] = rewards
+                first_pulls += _fold(
+                    lane_counts, lane_emp, levels.tolist(), rewards, lane_twice
+                )
             if first_pulls:
                 untried -= first_pulls
                 np.greater(counts, 0, out=tried)
-            level_hist[t - 1] = levels
-            reward_hist[t - 1] = rewards
+        # allocation_value folds each round's levels from the last resource
+        # back, the same doubles whatever the chunking.
+        for exp, lane_means, lane_played in zip(expected, means, played):
+            exp[chunk] = allocation_value(lane_means, lane_played)
 
-    return RunTrace(
-        levels=level_hist,
-        rewards=reward_hist,
-        expected=allocation_value(mean_mat, level_hist),
-        config=cfg,
-        stats=ArmStats(counts=counts, emp_means=emp_means),
-        emp_snapshots=emp_snap,
-        radius_snapshots=rad_snap,
-    )
+    traces = [
+        RunTrace(
+            levels=levels,
+            rewards=rewards,
+            expected=exp,
+            config=cfg,
+            stats=ArmStats(counts=lane_counts.copy(), emp_means=lane_emp.copy()),
+            emp_snapshots=emp,
+            radius_snapshots=rad,
+        )
+        for levels, rewards, exp, lane_counts, lane_emp, emp, rad in zip(
+            level_hist, reward_hist, expected, counts, emp_means, emp_snap, rad_snap
+        )
+    ]
+    return traces if lanes else traces[0]

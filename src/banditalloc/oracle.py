@@ -9,6 +9,7 @@ simulates oracles that only succeed with some probability beta.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -127,84 +128,141 @@ class ExactDpSolver(_SolverBase):
     before u does. So every maximizer at that first column spends exactly u
     units, and the choice at c is the first maximizer at column u.
 
+    The tie order has one exception, where rounding absorbs a difference:
+    two allocations whose tails differ can fold to the same total, and the
+    forward pass then follows the tail with the larger row value, not the
+    one with fewer units. With two resources, budget 2 and means
+    [[1, 0, 0], [0, 0.5, nextafter(0.5, 1)]], 1 + 0.5 == 1 +
+    nextafter(0.5, 1), so (0, 1) and (0, 2) tie on value, and the solver
+    returns (0, 2).
+
     Only the rows of middle resources are built from full (cap + 1, n)
     candidate tables, gathered from the next row through one shared index
     of the same shape; they are the solver's only tables of that size. The
     last row is a running maximum of the last resource's values, because
     the row after it is all zeros. The first row is read only at column
     cap, so it is solved there alone, with the same tie-break.
+
+    The learner solves a block of lanes at once: _levels_lanes takes an
+    (R, K, n) stack of mean matrices and runs the backward pass's numpy
+    calls once over all R, on buffers sized for the last lane count seen.
+    Each lane's arithmetic is the one-matrix arithmetic, so lane r's
+    allocation is _levels(means[r]).
     """
 
     def __init__(self, cfg: ProblemConfig):
         super().__init__(cfg, "exact_dp")
-        n, resources, cap = cfg.space.n, cfg.resources, self._cap
+        n, cap = cfg.space.n, self._cap
         self._n = n
-        self._resources = resources
-        # The suffix row of resource k sits in columns 1..cap + 1 of
-        # padded[k]; column 0 stays -inf, the value of spending more units
-        # than are left. rows[k] is the row over columns 0..cap. The first
-        # row is solved at column cap alone, so only a single resource
-        # needs row 0.
-        skip = min(1, resources - 1)
-        suf = np.empty((resources - skip, cap + 2))
-        suf[:, 0] = -np.inf
-        self._padded = [None] * skip + list(suf)
-        self._rows = [None] * skip + list(suf[:, 1:])
-        if resources > 2:
+        self._resources = cfg.resources
+        self._top = min(n - 1, cap)  # the first row's highest affordable level
+        if cfg.resources > 2:
             # gather[c, a] indexes a padded row at column c - a, or at the
             # -inf column when level a costs more than c units.
             self._gather = np.arange(1, cap + 2)[:, None] - np.arange(n)
             np.maximum(self._gather, 0, out=self._gather)
-            self._cand = np.empty((cap + 1, n))
-            self._choice = np.empty((resources, cap + 1), dtype=np.int64)
+        self._lanes = 0  # the lane count the buffers are sized for
+
+    def _size_for(self, lanes: int) -> None:
+        resources, n, cap = self._resources, self._n, self._cap
+        # The suffix rows of resource k sit in columns 1..cap + 1 of
+        # padded[k], one row per lane; column 0 stays -inf, the value of
+        # spending more units than are left. rows[k] holds the rows over
+        # columns 0..cap. The first row is solved at column cap alone, so
+        # only a single resource needs row 0.
+        skip = min(1, resources - 1)
+        suf = np.empty((resources - skip, lanes, cap + 2))
+        suf[:, :, 0] = -np.inf
+        self._padded = [None] * skip + list(suf)
+        rows = [None] * skip + list(suf[:, :, 1:])
+        self._rows = rows
+        self._lanes = lanes
+        self._chosen = np.empty((lanes, resources), dtype=np.int64)
+        # Views fixed by the buffers, taken once: a round on a small
+        # instance costs about as much in numpy calls as in arithmetic.
+        last_rows = rows[-1]
+        self._last_lanes = list(last_rows)
+        if cap < n:
+            self._last_out = last_rows
+        else:
+            # Past column n - 1 the last row repeats its value there.
+            self._last_out = last_rows[:, :n]
+            self._last_fill = (last_rows[:, n:], last_rows[:, n - 1 : n])
+        if resources > 1:
+            # The first row at column cap: candidates for levels 0..top read
+            # the next row at cap, cap-1, ..., cap-top.
+            top = self._top
+            self._next_rev = rows[1][:, cap - top : cap + 1][:, ::-1]
+            self._row0_cand = np.empty((lanes, top + 1))
+            self._row0_rev = self._row0_cand[:, ::-1]
+        if resources > 2:
+            self._cand = np.empty((lanes, cap + 1, n))
+            # The first maximizer of each column's candidates.
+            self._maximizer = np.empty((lanes, cap + 1), dtype=np.int64)
+            self._choice = np.empty((resources, lanes, cap + 1), dtype=np.int64)
+            self._middle = [None] + [
+                list(zip(self._maximizer, rows[k], self._choice[k]))
+                for k in range(1, resources - 1)
+            ]
 
     def _levels(self, means: np.ndarray) -> np.ndarray:
+        return self._levels_lanes(means[None])[0].copy()
+
+    def _levels_lanes(self, means: np.ndarray) -> np.ndarray:
+        """(R, K) allocations of an (R, K, n) stack of finite mean matrices,
+        in a buffer that the next call overwrites."""
+        lanes = means.shape[0]
+        if lanes != self._lanes:
+            self._size_for(lanes)
         resources, n, cap = self._resources, self._n, self._cap
         last = resources - 1
-        rows = self._rows
         # The last row: column c covers the last resource's levels
         # 0..min(c, n - 1).
-        last_row = rows[last]
         if cap < n:
-            np.maximum.accumulate(means[last, : cap + 1], out=last_row)
+            np.maximum.accumulate(means[:, last, : cap + 1], axis=1, out=self._last_out)
         else:
-            np.maximum.accumulate(means[last], out=last_row[:n])
-            last_row[n:] = last_row[n - 1]
+            np.maximum.accumulate(means[:, last], axis=1, out=self._last_out)
+            np.copyto(*self._last_fill)
 
         # mode="clip" writes straight into out (the default "raise" fills a
         # temporary copy first); every index is in range anyway.
         for k in range(resources - 2, 0, -1):
-            cand = self._padded[k + 1].take(self._gather, out=self._cand, mode="clip")
-            cand += means[k]
-            first = cand.argmax(axis=1)
-            row = cand.max(axis=1, out=rows[k])
-            first.take(row.searchsorted(row), out=self._choice[k], mode="clip")
+            cand = self._padded[k + 1].take(
+                self._gather, axis=1, out=self._cand, mode="clip"
+            )
+            cand += means[:, k, None]
+            cand.argmax(axis=2, out=self._maximizer)
+            cand.max(axis=2, out=self._rows[k])
+            for maximizer, row, choice in self._middle[k]:
+                maximizer.take(row.searchsorted(row), out=choice, mode="clip")
 
-        levels = []
-        c = cap
         if last:
-            # The first row at column cap: candidates for levels 0..top read
-            # the next row at cap, cap-1, ..., cap-top.
-            top = min(n - 1, c)
-            next_row = rows[1]
-            cand_v = means[0, : top + 1] + next_row[c - top : c + 1][::-1]
+            top = self._top
+            cand_v = np.add(means[:, 0, : top + 1], self._next_rev, out=self._row0_cand)
             # argmax returns the first maximizer; on the reversed row, the last.
-            a = int(cand_v.argmax())
-            if a != top - int(cand_v[::-1].argmax()):
-                # Tied values: the fewest units spent wins, then the lowest level.
-                tied = (cand_v == cand_v[a]).nonzero()[0]
-                tied_u = tied + next_row.searchsorted(next_row[c - tied])
-                a = int(tied[tied_u.argmin()])
-            levels.append(a)
-            c -= a
-        for k in range(1, last):
-            a = self._choice.item(k, c)
-            levels.append(a)
-            c -= a
-        # Below the last resource nothing is spent, so its units are its level:
-        # where the running maximum first reaches its value at column c.
-        levels.append(last_row.searchsorted(last_row[c]))
-        return np.array(levels, dtype=np.int64)
+            firsts = cand_v.argmax(axis=1).tolist()
+            lasts = self._row0_rev.argmax(axis=1).tolist()
+        chosen = self._chosen
+        for r, last_row in enumerate(self._last_lanes):
+            c = cap
+            if last:
+                a = firsts[r]
+                if a != top - lasts[r]:
+                    # Tied values: the fewest units spent wins, then the lowest level.
+                    tied = (cand_v[r] == cand_v[r, a]).nonzero()[0]
+                    next_row = self._rows[1][r]
+                    tied_u = tied + next_row.searchsorted(next_row[c - tied])
+                    a = int(tied[tied_u.argmin()])
+                chosen[r, 0] = a
+                c -= a
+            for k in range(1, last):
+                a = self._choice.item(k, r, c)
+                chosen[r, k] = a
+                c -= a
+            # Below the last resource nothing is spent, so its units are its
+            # level: where the running maximum first reaches its value at c.
+            chosen[r, last] = last_row.searchsorted(last_row[c])
+        return chosen
 
 
 class GreedySolver(_SolverBase):
@@ -317,6 +375,20 @@ class CoinFlipOracle(_SolverBase):
         if self._heads():
             return self.base._levels(means)
         return np.zeros(self.cfg.resources, dtype=np.int64)
+
+
+def _lane_solver(solvers) -> Callable[[np.ndarray], Sequence[np.ndarray]]:
+    """A function that maps an (R, K, n) stack of mean matrices to the
+    allocations solvers[r].solve_levels(means[r]) of its R lanes, which
+    may sit in a buffer that its next call overwrites.
+
+    When every lane runs the plain exact DP, one batched backward pass, on
+    the first lane's buffers, serves them all, and the caller vouches that
+    the means are finite. Any other solvers, coin-wrapped ones included,
+    are called lane by lane."""
+    if all(type(s) is ExactDpSolver for s in solvers):
+        return solvers[0]._levels_lanes
+    return lambda means: [s.solve_levels(m) for s, m in zip(solvers, means)]
 
 
 def solve_exact_dp(means: np.ndarray, cfg: ProblemConfig) -> OracleResult:

@@ -97,9 +97,16 @@ def mean_regret_curve() -> np.ndarray:
     solver = ExactDpSolver(cfg)
     opt = compute_opt(RewardModel.table(REFERENCE_PROBS, rng_seed=0), cfg)
     readings = np.empty((REPLICATIONS, len(CHECKPOINTS)))
-    for rep in range(REPLICATIONS):
-        model = RewardModel.table(REFERENCE_PROBS, rng_seed=mix_seed(NOISE_SEED, rep))
-        trace = run(model, solver, cfg, CHECKPOINTS[-1])
+    # The replications run as one block of lanes in lockstep; each lane's
+    # trace is the trace of that replication run alone.
+    models = [
+        RewardModel.table(REFERENCE_PROBS, rng_seed=mix_seed(NOISE_SEED, rep))
+        for rep in range(REPLICATIONS)
+    ]
+    traces = run(
+        models, [solver] * REPLICATIONS, cfg, CHECKPOINTS[-1], record_history=False
+    )
+    for rep, (model, trace) in enumerate(zip(models, traces)):
         if rep == 0:
             short = run(model, solver, cfg, 1_000)
             assert np.array_equal(short.expected, trace.expected[:1_000])
@@ -269,12 +276,16 @@ def test_confidence_intervals_rarely_miss_the_truth():
     cfg = reference_cfg()
     solver = ExactDpSolver(cfg)
     truth = RewardModel.table(REFERENCE_PROBS, rng_seed=0).mean_matrix(cfg.space)
-    counts = []
-    for rep in range(REPLICATIONS):
-        observer = CoverageObserver(truth)
-        model = RewardModel.table(REFERENCE_PROBS, rng_seed=mix_seed(NOISE_SEED, rep))
-        run(model, solver, cfg, 10_000, observer=observer)
-        counts.append(observer.count)
+    observers = [CoverageObserver(truth) for _ in range(REPLICATIONS)]
+    models = [
+        RewardModel.table(REFERENCE_PROBS, rng_seed=mix_seed(NOISE_SEED, rep))
+        for rep in range(REPLICATIONS)
+    ]
+    run(
+        models, [solver] * REPLICATIONS, cfg, 10_000,
+        observer=observers, record_history=False,
+    )
+    counts = [observer.count for observer in observers]
     allowance = 3.0 * (math.pi**2 / 3.0) * cfg.arm_count
     assert float(np.mean(counts)) <= allowance, f"violation counts {counts}"
 

@@ -88,6 +88,8 @@ def test_traced_cra_run_matches_and_sees_each_layer_once(tmp_path):
 def test_traced_dra_run_runs_each_replication_once(tmp_path):
     # dra plays one instance at every horizon, so each replication runs
     # once, to the longest horizon, and the shorter one reads its prefix.
+    # At one job the replications form one block: a single learner call
+    # steps them in lockstep, and each plays one reward call per round.
     tracing = _load_tracing()
     config = tmp_path / "dra.json"
     config.write_text(json.dumps(DRA_CONFIG))
@@ -101,5 +103,7 @@ def test_traced_dra_run_runs_each_replication_once(tmp_path):
     assert code == 0
     assert traced == plain
 
-    assert tracer.names.count("learner.run") == DRA_REPLICATIONS
-    assert tracer.rounds == DRA_REPLICATIONS * max(HORIZONS)
+    assert tracer.names.count("learner.run") == 1
+    assert tracer.rounds == max(HORIZONS)
+    rewards_calls = tracer.names.count("environment.rewards")
+    assert rewards_calls == DRA_REPLICATIONS * max(HORIZONS)

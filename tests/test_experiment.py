@@ -8,7 +8,13 @@ import warnings
 import numpy as np
 import pytest
 
-from banditalloc import ConfigurationError, ExperimentConfig, experiment, run_experiment
+from banditalloc import (
+    ConfigurationError,
+    ExperimentConfig,
+    experiment,
+    run_experiment,
+    streams,
+)
 from banditalloc.cli import main as cli_main
 from banditalloc.experiment import (
     AGGREGATE_COLUMNS,
@@ -654,31 +660,58 @@ class TestSharedRuns:
 
 class TestWorkIsShared:
     @staticmethod
-    def recorded_horizons(monkeypatch, raw):
-        horizons = []
+    def recorded_calls(monkeypatch, raw):
+        """(horizon, replications) of each learner call: a call steps a
+        block of replications in lockstep, one model per replication.
+        Without trace files no call keeps the (T, K) histories."""
+        calls = []
         original = experiment.run
 
-        def recording_run(model, solver, cfg, horizon, **kwargs):
-            horizons.append(horizon)
-            return original(model, solver, cfg, horizon, **kwargs)
+        def recording_run(models, solvers, cfg, horizon, **kwargs):
+            assert kwargs["record_history"] is False
+            seeds = [model.rng_seed for model in models]
+            reps = [streams.mix_seed(raw["seed"], rep) for rep in range(raw["replications"])]
+            calls.append((horizon, [reps.index(seed) for seed in seeds]))
+            return original(models, solvers, cfg, horizon, **kwargs)
 
         monkeypatch.setattr(experiment, "run", recording_run)
         run_experiment(ExperimentConfig.from_dict(raw))
-        return horizons
+        return calls
 
     def test_dra_runs_each_replication_once(self, monkeypatch, tmp_path):
         raw = dra_dict(out=str(tmp_path))
-        assert self.recorded_horizons(monkeypatch, raw) == [200, 200, 200]
+        assert self.recorded_calls(monkeypatch, raw) == [(200, [0, 1, 2])]
 
     def test_cra_distinct_grids_run_per_horizon(self, monkeypatch, tmp_path):
         raw = cra_dict(out=str(tmp_path))
-        assert self.recorded_horizons(monkeypatch, raw) == [60] * 3 + [240] * 3
+        assert self.recorded_calls(monkeypatch, raw) == [(60, [0, 1, 2]), (240, [0, 1, 2])]
 
     def test_cra_equal_grids_share_runs(self, monkeypatch, tmp_path):
         raw = cra_dict(max_levels=4, out=str(tmp_path))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # capped plans warn
-            assert self.recorded_horizons(monkeypatch, raw) == [240] * 3
+            assert self.recorded_calls(monkeypatch, raw) == [(240, [0, 1, 2])]
+
+    def test_blocks_split_replications_per_worker(self, monkeypatch, tmp_path):
+        # Two jobs on two CPUs: the five replications form two contiguous
+        # blocks, one per worker, each stepped in one learner call.
+        class InProcessPool:
+            def __init__(self, max_workers):
+                assert max_workers == 2
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, payloads, chunksize):
+                return map(fn, payloads)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
+        raw = dra_dict(replications=5, jobs=2, out=str(tmp_path))
+        assert self.recorded_calls(monkeypatch, raw) == [(200, [0, 1]), (200, [2, 3, 4])]
 
 
 class TestAtomicCsv:

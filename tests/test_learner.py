@@ -9,8 +9,10 @@ from banditalloc import (
     ArmId,
     ArmStats,
     ExactDpSolver,
+    OracleSpec,
     ProblemConfig,
     RewardModel,
+    build_solver,
     compute_opt,
     regret_series,
     run,
@@ -295,6 +297,25 @@ class TestRun:
             tracemalloc.stop()
         assert peak / horizon < 52
 
+    @pytest.mark.slow
+    @pytest.mark.parametrize("lanes", [2, 5])
+    def test_peak_memory_per_round_in_lockstep(self, lanes):
+        # A block of lanes keeps each lane's trace and nothing per round
+        # across lanes, so the one-lane bound holds per lane. Fewer rounds
+        # per lane than the one-lane run above leave the fixed buffers a
+        # larger share of the bound.
+        cfg = native_cfg()
+        models = [flat_model(seed=seed) for seed in range(lanes)]
+        solvers = [ExactDpSolver(cfg) for _ in models]
+        horizon = 50_000 // lanes
+        tracemalloc.start()
+        try:
+            run(models, solvers, cfg, horizon)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (horizon * lanes) < 52
+
     def test_validation(self):
         cfg = native_cfg()
         model = flat_model(seed=0)
@@ -344,3 +365,160 @@ class TestStepApi:
             for k in range(cfg.resources):
                 arm = ArmId(k + 1, int(trace.levels[t - 1, k]))
                 assert model.sample_reward(arm, cfg.space, t) == trace.rewards[t - 1, k]
+
+
+# Instances for the lockstep tests, named by reward family, K and the
+# capacity in units against n - 1; each builds (instance, noise seed ->
+# model).
+def _grid(resources, n, pitch, budget):
+    space = ActionSpace.uniform_grid(n, pitch)
+    return ProblemConfig(resources=resources, budget=budget, space=space)
+
+
+def _table(probs, cfg):
+    return cfg, lambda seed: RewardModel.table(probs, rng_seed=seed)
+
+
+def _concave(probs, thetas, cfg):
+    return cfg, lambda seed: RewardModel.concave_exp(probs, thetas, rng_seed=seed)
+
+
+LANE_INSTANCES = {
+    "table-K1-cap-at": lambda: _table([[0.2, 0.6, 0.5, 0.9]], native_cfg(1, 3.0, 4)),
+    "table-K2-cap-above": lambda: _table(
+        [[0.1, 0.6, 0.3], [0.2, 0.4, 0.9]], native_cfg(2, 5.0, 3)
+    ),
+    "table-K3-cap-above": lambda: (table_3x4()[1], lambda seed: table_3x4(seed)[0]),
+    "table-K4-cap-above": lambda: _table(
+        [[0.3, 0.5, 0.6, 0.65], [0.9, 0.3, 0.8, 0.1], [0.05, 0.4, 0.7, 0.95],
+         [0.5, 0.5, 0.5, 0.5]],
+        native_cfg(4, 6.0, 4),
+    ),
+    "hinge-K3-cap-above": lambda: (
+        _grid(3, 5, 0.5, 2.5),
+        lambda seed: RewardModel.hinge([0.4, 0.9, 0.7], 2.5, rng_seed=seed),
+    ),
+    "concave-K1-cap-below": lambda: _concave([0.9], [0.8], _grid(1, 6, 0.25, 0.75)),
+    "concave-K2-cap-below": lambda: _concave(
+        [0.9, 0.7], [0.8, 0.5], _grid(2, 6, 0.25, 0.75)
+    ),
+    "concave-K4-cap-below": lambda: _concave(
+        [0.9, 0.7, 0.8, 0.6], [0.8, 0.5, 1.2, 0.3], _grid(4, 5, 0.25, 0.5)
+    ),
+    "concave-K4-cap-above": lambda: _concave(
+        [0.9, 0.7, 0.8, 0.6], [0.8, 0.5, 1.2, 0.3], _grid(4, 4, 0.5, 2.5)
+    ),
+}
+
+# Solvers by name; "coin-" wraps the base solver in a beta = 0.7 coin.
+LANE_SOLVERS = {
+    "exact": OracleSpec(),
+    "greedy": OracleSpec(0.9, 1.0, "greedy"),
+    "coin-exact": OracleSpec(1.0, 0.7, "exact_dp"),
+    "coin-greedy": OracleSpec(0.9, 0.7, "greedy"),
+}
+
+
+class Recorder:
+    """An observer that keeps a copy of every argument it is shown."""
+
+    def __init__(self):
+        self.seen = []
+
+    def __call__(self, t, emp_means, radii):
+        self.seen.append((t, emp_means.copy(), radii.copy()))
+
+
+def assert_same_run(got, want, got_obs, want_obs):
+    assert np.array_equal(got.levels, want.levels)
+    assert np.array_equal(got.rewards, want.rewards)
+    assert np.array_equal(got.expected, want.expected)
+    assert np.array_equal(got.stats.counts, want.stats.counts)
+    assert np.array_equal(got.stats.emp_means, want.stats.emp_means)
+    assert len(got_obs.seen) == len(want_obs.seen) == len(want)
+    for (t, emp, radii), (t0, emp0, radii0) in zip(got_obs.seen, want_obs.seen):
+        assert t == t0
+        assert np.array_equal(emp, emp0)
+        assert np.array_equal(radii, radii0)
+
+
+class TestLockstep:
+    """run steps a block of lanes in lockstep; each lane's trace, statistics
+    and observer calls equal those of a one-lane run of that lane."""
+
+    @staticmethod
+    def lanes(instance, solver, width, seed=0):
+        cfg, make_model = LANE_INSTANCES[instance]()
+        seeds = [1000 * seed + 17 * r + 3 for r in range(width)]
+        models = [make_model(s) for s in seeds]
+        spec = LANE_SOLVERS[solver]
+
+        def solvers():
+            # Fresh solvers per call: a coin's state is its call count.
+            return [build_solver(spec, cfg, seed=s) for s in seeds]
+
+        return cfg, models, solvers
+
+    @pytest.mark.parametrize("width", [1, 2, 5])
+    @pytest.mark.parametrize("solver", sorted(LANE_SOLVERS))
+    @pytest.mark.parametrize("instance", sorted(LANE_INSTANCES))
+    def test_lanes_equal_one_lane_runs(self, instance, solver, width):
+        cfg, models, solvers = self.lanes(instance, solver, width)
+        horizon = 150
+        alone_obs = [Recorder() for _ in models]
+        alone = [
+            run(m, s, cfg, horizon, observer=o)
+            for m, s, o in zip(models, solvers(), alone_obs)
+        ]
+        block_obs = [Recorder() for _ in models]
+        block = run(models, solvers(), cfg, horizon, observer=block_obs)
+        assert isinstance(block, list) and len(block) == width
+        for got, want, got_obs, want_obs in zip(block, alone, block_obs, alone_obs):
+            assert_same_run(got, want, got_obs, want_obs)
+
+    @pytest.mark.parametrize("solver", ["exact", "coin-exact"])
+    def test_lanes_cross_the_noise_chunks(self, solver):
+        # 1100 rounds span two chunks of drawn noise and log evaluations.
+        cfg, models, solvers = self.lanes("table-K3-cap-above", solver, 3, seed=1)
+        alone_obs = [Recorder() for _ in models]
+        alone = [
+            run(m, s, cfg, 1100, observer=o)
+            for m, s, o in zip(models, solvers(), alone_obs)
+        ]
+        block_obs = [Recorder() for _ in models]
+        block = run(models, solvers(), cfg, 1100, observer=block_obs)
+        for got, want, got_obs, want_obs in zip(block, alone, block_obs, alone_obs):
+            assert_same_run(got, want, got_obs, want_obs)
+
+    def test_coins_flip_once_per_lane_and_round(self):
+        cfg, models, solvers = self.lanes("table-K2-cap-above", "coin-exact", 4)
+        block_solvers = solvers()
+        run(models, block_solvers, cfg, 300)
+        assert [s.calls for s in block_solvers] == [300] * 4
+
+    def test_internals_and_history_per_lane(self):
+        cfg, models, solvers = self.lanes("concave-K2-cap-below", "exact", 2)
+        alone = [
+            run(m, s, cfg, 120, record_internals=True) for m, s in zip(models, solvers())
+        ]
+        block = run(models, solvers(), cfg, 120, record_internals=True)
+        bare = run(models, solvers(), cfg, 120, record_history=False)
+        for got, lean, want in zip(block, bare, alone):
+            assert np.array_equal(got.emp_snapshots, want.emp_snapshots)
+            assert np.array_equal(got.radius_snapshots, want.radius_snapshots)
+            assert lean.levels is None and lean.rewards is None
+            assert lean.emp_snapshots is None
+            assert np.array_equal(lean.expected, want.expected)
+            assert np.array_equal(lean.stats.counts, want.stats.counts)
+
+    def test_lane_validation(self):
+        cfg, models, solvers = self.lanes("table-K2-cap-above", "exact", 2)
+        with pytest.raises(ValueError):
+            run(models, solvers()[:1], cfg, 10)
+        with pytest.raises(ValueError):
+            run(models, solvers(), cfg, 10, observer=[None])
+        with pytest.raises(ValueError):
+            run([], [], cfg, 10)
+        other = native_cfg(resources=2, budget=3.0, n=3)
+        with pytest.raises(ValueError):
+            run(models, [ExactDpSolver(cfg), ExactDpSolver(other)], cfg, 10)

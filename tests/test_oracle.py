@@ -227,6 +227,33 @@ class TestExactDp:
         means = np.array([[0.0, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]])
         assert solve_exact_dp(means, cfg).allocation.levels == (0, 1, 0)
 
+    @pytest.mark.parametrize("values", sorted(GREEDY_VALUES))
+    def test_lanes_equal_one_matrix_solves(self, values):
+        # A block of 1-5 lanes, solved by one batched backward pass, gives
+        # every lane the allocation a one-matrix solve gives it.
+        rng = np.random.default_rng(61 + sorted(GREEDY_VALUES).index(values))
+        for _ in range(40):
+            cfg, _ = greedy_case(rng, GREEDY_VALUES[values])
+            width = int(rng.integers(1, 6))
+            block = GREEDY_VALUES[values](rng, (width, cfg.resources, cfg.space.n))
+            solver = ExactDpSolver(cfg)
+            want = [ExactDpSolver(cfg).solve_levels(means).tolist() for means in block]
+            assert solver._levels_lanes(block).tolist() == want
+            assert solver._levels_lanes(block[:1]).tolist() == want[:1]
+
+    def test_rounding_absorbed_tie_keeps_the_larger_tail(self):
+        # 1 + 0.5 == 1 + nextafter(0.5, 1), so (0, 1) and (0, 2) fold to one
+        # value and the documented tie order ranks (0, 1) first. The DP
+        # follows the larger tail value and returns (0, 2), alone and as a
+        # lane of a block (the exception ExactDpSolver's docstring states).
+        cfg = native_cfg(2, 2.0, 3)
+        means = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, np.nextafter(0.5, 1.0)]])
+        assert brute_force(means, cfg)[0] == (0, 1)
+        solver = ExactDpSolver(cfg)
+        assert solver.solve_levels(means).tolist() == [0, 2]
+        block = np.stack([np.zeros_like(means), means, means])
+        assert solver._levels_lanes(block).tolist() == [[0, 0], [0, 2], [0, 2]]
+
     def test_deterministic_repeat(self):
         cfg = native_cfg(3, 4.0, 3)
         means = np.full((3, 3), 0.5)
