@@ -347,11 +347,9 @@ class CoverageObserver:
         self._mu = np.asarray(mean_matrix, dtype=np.float64)
         self._marks = frozenset(horizons)
         self.count = 0
-        self.rounds = 0
         self.counts_at: dict[int, int] = {}
 
     def __call__(self, t: int, emp_means: np.ndarray, radii: np.ndarray) -> None:
-        self.rounds += 1
         if (np.abs(emp_means - self._mu) >= radii).any():
             self.count += 1
         if t in self._marks:

@@ -96,7 +96,6 @@ def run_discretized(
     oracle_spec: OracleSpec,
     budget: float,
     horizon: int,
-    record_internals: bool = False,
 ) -> tuple[RunTrace, DiscretizationPlan]:
     """Plan a grid for the horizon and run the learner on it.
 
@@ -114,5 +113,5 @@ def run_discretized(
     plan = plan_discretization(1.0, budget, lip, model.k_count, horizon)
     cfg = ProblemConfig(resources=model.k_count, budget=budget, space=plan.grid)
     solver = build_solver(oracle_spec, cfg)
-    trace = run(model, solver, cfg, horizon, record_internals=record_internals)
+    trace = run(model, solver, cfg, horizon)
     return trace, plan

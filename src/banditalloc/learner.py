@@ -25,6 +25,10 @@ per round for the whole block. The reward transform, the range check, the
 fold, the observers and the coin flips stay per lane, in the one-lane
 order, so every lane's trace equals the trace of that lane run alone. A
 one-lane run is the same loop with R = 1.
+
+A trace keeps the played levels, the rewards, the expected values and the
+end-of-run statistics. The per-round empirical means and radii leave run
+only through its observer, which may keep whatever it needs of them.
 """
 
 from __future__ import annotations
@@ -98,24 +102,9 @@ class RunTrace:
     expected: np.ndarray  # (T,) true expected total reward of the played allocation
     config: ProblemConfig
     stats: ArmStats  # end-of-run counts and empirical means
-    emp_snapshots: np.ndarray | None = None  # (T, K, n) start-of-round emp means
-    radius_snapshots: np.ndarray | None = None  # (T, K, n) start-of-round radii
 
     def __len__(self) -> int:
         return self.expected.shape[0]
-
-
-def _snapshot_observer(emp_snap, rad_snap, then=None):
-    """An observer that copies round t's statistics into row t - 1 of the
-    snapshot arrays, then calls ``then`` if one is given."""
-
-    def observe(t: int, emp_means: np.ndarray, radii: np.ndarray) -> None:
-        emp_snap[t - 1] = emp_means
-        rad_snap[t - 1] = radii
-        if then is not None:
-            then(t, emp_means, radii)
-
-    return observe
 
 
 def run(
@@ -123,7 +112,6 @@ def run(
     solver: _SolverBase | Sequence[_SolverBase],
     cfg: ProblemConfig,
     horizon: int,
-    record_internals: bool = False,
     observer: Observer | Sequence[Observer | None] | None = None,
     record_history: bool = True,
 ) -> RunTrace | list[RunTrace]:
@@ -140,17 +128,14 @@ def run(
         each round.
     horizon:
         Number of rounds T >= 1.
-    record_internals:
-        Keep per-round empirical means and radii on the trace ((T, K, n)
-        arrays per lane, so reserve memory accordingly). They are copied by
-        an observer that runs before ``observer``.
     observer:
         Optional callback observer(t, emp_means, radii) invoked with the
         start-of-round statistics before the allocation is chosen; with
         lanes, a sequence of R such callbacks (or None entries), each shown
         its own lane. The arrays are live views; observers must not mutate
-        them. This is the hook for diagnostics that need the true means,
-        which the learner itself never sees.
+        them, and copy what they keep. This is the one way to see the
+        per-round statistics, and the hook for diagnostics that need the
+        true means, which the learner itself never sees.
     record_history:
         Keep the (T, K) levels and rewards on the trace. Without them a
         trace holds its (T,) expected values and end-of-run statistics
@@ -188,8 +173,7 @@ def run(
 
     width = len(models)
     resources = cfg.resources
-    n = cfg.space.n
-    shape = (width, resources, n)
+    shape = (width, resources, cfg.space.n)
 
     # Every lane's statistics are one (K, n) slice of a (R, K, n) block, so
     # the radii and the clamp are computed for all lanes at once.
@@ -216,13 +200,6 @@ def run(
     else:
         level_hist = reward_hist = [None] * width
         chunk_levels = [np.empty((_LOG_CHUNK, resources), dtype=np.int64) for _ in models]
-    emp_snap = rad_snap = [None] * width
-    if record_internals:
-        emp_snap = [np.empty((horizon, resources, n)) for _ in models]
-        rad_snap = [np.empty((horizon, resources, n)) for _ in models]
-        observers = [
-            _snapshot_observer(e, r, o) for e, r, o in zip(emp_snap, rad_snap, observers)
-        ]
     watched = [
         (o, e, r) for o, e, r in zip(observers, emp_means, radii) if o is not None
     ]
@@ -291,11 +268,9 @@ def run(
             expected=exp,
             config=cfg,
             stats=ArmStats(counts=lane_counts.copy(), emp_means=lane_emp.copy()),
-            emp_snapshots=emp,
-            radius_snapshots=rad,
         )
-        for levels, rewards, exp, lane_counts, lane_emp, emp, rad in zip(
-            level_hist, reward_hist, expected, counts, emp_means, emp_snap, rad_snap
+        for levels, rewards, exp, lane_counts, lane_emp in zip(
+            level_hist, reward_hist, expected, counts, emp_means
         )
     ]
     return traces if lanes else traces[0]

@@ -81,8 +81,9 @@ def _check_means(means: np.ndarray, cfg: ProblemConfig) -> np.ndarray:
 
 
 class _SolverBase:
-    """Shared result plumbing; concrete solvers implement _levels, which
-    receives a matrix _check_means has already validated."""
+    """Shared result plumbing. Concrete solvers implement _levels, which
+    receives a matrix _check_means has already validated, or override
+    solve_levels; solve validates the means, then calls solve_levels."""
 
     def __init__(self, cfg: ProblemConfig, kind: str):
         self.cfg = cfg
@@ -99,7 +100,7 @@ class _SolverBase:
 
     def solve(self, means: np.ndarray) -> OracleResult:
         means = _check_means(means, self.cfg)
-        levels = self._levels(means)
+        levels = self.solve_levels(means)
         alloc = Allocation(tuple(int(a) for a in levels))
         return OracleResult(alloc, allocation_value(means, levels))
 
@@ -369,11 +370,6 @@ class CoinFlipOracle(_SolverBase):
         if self._heads():
             return self.base.solve_levels(means)
         _check_means(means, self.cfg)
-        return np.zeros(self.cfg.resources, dtype=np.int64)
-
-    def _levels(self, means: np.ndarray) -> np.ndarray:
-        if self._heads():
-            return self.base._levels(means)
         return np.zeros(self.cfg.resources, dtype=np.int64)
 
 

@@ -36,11 +36,13 @@ from banditalloc import (
     ProblemConfig,
     RewardModel,
     allocation_value,
+    build_solver,
     compute_continuous_reference,
     compute_gaps,
     compute_opt,
     dependent_regret_bound,
     iter_feasible_levels,
+    plan_discretization,
     regret_series,
     run,
     run_discretized,
@@ -143,12 +145,25 @@ def test_long_run_bookkeeping_invariants_hold():
     horizon = 10_000
     cfg = reference_cfg()
     table = RewardModel.table(REFERENCE_PROBS, rng_seed=mix_seed(NOISE_SEED, 0))
-    native = run(table, ExactDpSolver(cfg), cfg, horizon, record_internals=True)
     smooth = RewardModel.concave_exp(SMOOTH_PROBS, SMOOTH_THETAS, rng_seed=17)
-    gridded, _plan = run_discretized(
-        smooth, OracleSpec(), budget=1.0, horizon=horizon, record_internals=True
+    # The grid and solver run_discretized uses, run directly to attach an observer.
+    plan = plan_discretization(
+        1.0, 1.0, smooth.lipschitz_constant(), smooth.k_count, horizon
     )
-    for trace in (native, gridded):
+    grid_cfg = ProblemConfig(resources=smooth.k_count, budget=1.0, space=plan.grid)
+    for model, solver, instance in (
+        (table, ExactDpSolver(cfg), cfg),
+        (smooth, build_solver(OracleSpec(), grid_cfg), grid_cfg),
+    ):
+        pessimistic = []
+
+        def observe(t, emp_means, radii):
+            # optimistic estimates never fall below the empirical means
+            if not np.all(np.minimum(1.0, emp_means + radii) >= emp_means):
+                pessimistic.append(t)
+
+        trace = run(model, solver, instance, horizon, observer=observe)
+        assert pessimistic == []
         space = trace.config.space
         counts = trace.stats.counts
         # every round pulls exactly one arm per resource
@@ -156,9 +171,6 @@ def test_long_run_bookkeeping_invariants_hold():
         for k in range(trace.config.resources):
             recounted = np.bincount(trace.levels[:, k], minlength=space.n)
             assert np.array_equal(recounted, counts[k])
-        # optimistic estimates never fall below the empirical means
-        uppers = np.minimum(1.0, trace.emp_snapshots + trace.radius_snapshots)
-        assert np.all(uppers >= trace.emp_snapshots)
         assert np.all((trace.rewards >= 0.0) & (trace.rewards <= 1.0))
         spent = space.level_values[trace.levels].sum(axis=1)
         assert np.all(spent <= trace.config.budget + 1e-9)

@@ -377,11 +377,19 @@ class TestScalingCheck:
             scaling_check({100: 1.0, 1000: 1.0, 10_000: 1.0}, slack=-0.1)
 
 
-def violating_rounds(trace, model):
-    """Rounds whose recorded start-of-round statistics had some arm outside
-    its confidence interval, |emp - true| >= radius."""
-    mu = model.mean_matrix(trace.config.space)
-    outside = np.abs(trace.emp_snapshots - mu) >= trace.radius_snapshots
+def violating_rounds(model, cfg, horizon, observer):
+    """Run the exact-DP learner, showing each round's start-of-round
+    statistics to a recorder and then to ``observer``; return which rounds
+    had some arm outside its confidence interval, |emp - true| >= radius."""
+    emp, radii = [], []
+
+    def record_then_observe(t, emp_means, radii_now):
+        emp.append(emp_means.copy())
+        radii.append(radii_now.copy())
+        observer(t, emp_means, radii_now)
+
+    run(model, ExactDpSolver(cfg), cfg, horizon, observer=record_then_observe)
+    outside = np.abs(np.array(emp) - model.mean_matrix(cfg.space)) >= np.array(radii)
     return outside.any(axis=(1, 2))
 
 
@@ -390,21 +398,16 @@ class TestCoverage:
         cfg = native_cfg()
         model = RewardModel.table([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]], rng_seed=0)
         observer = CoverageObserver(model.mean_matrix(cfg.space))
-        trace = run(
-            model, ExactDpSolver(cfg), cfg, 500, record_internals=True, observer=observer
-        )
+        violating = violating_rounds(model, cfg, 500, observer)
         assert observer.count == 0
-        assert not violating_rounds(trace, model).any()
+        assert not violating.any()
 
     def test_streaming_observer_matches_batch(self):
         cfg = native_cfg()
         model = RewardModel.table([[0.1, 0.6, 0.3], [0.2, 0.4, 0.9]], rng_seed=41)
         observer = CoverageObserver(model.mean_matrix(cfg.space))
-        trace = run(
-            model, ExactDpSolver(cfg), cfg, 800, record_internals=True, observer=observer
-        )
-        assert observer.count == int(violating_rounds(trace, model).sum())
-        assert observer.rounds == 800
+        violating = violating_rounds(model, cfg, 800, observer)
+        assert observer.count == int(violating.sum())
 
     def test_handcrafted_violation(self):
         observer = CoverageObserver(np.array([[0.5, 0.5]]))
@@ -415,7 +418,7 @@ class TestCoverage:
         emp[0, 0] = 0.9  # off by 0.4 with radius 0.1: a violation
         radii[0, 0] = 0.1
         observer(2, emp, radii)
-        assert observer.count == 1 and observer.rounds == 2
+        assert observer.count == 1
 
     def test_counts_at_horizons(self):
         observer = CoverageObserver(np.array([[0.5, 0.5]]), horizons=(2, 4))

@@ -63,29 +63,56 @@ def expected_radii(levels, n, horizon):
     return radii, counts
 
 
+class Recorder:
+    """An observer that keeps a copy of every argument it is shown."""
+
+    def __init__(self):
+        self.seen = []
+
+    def __call__(self, t, emp_means, radii):
+        self.seen.append((t, emp_means.copy(), radii.copy()))
+
+    @property
+    def emp_means(self):
+        """(T, K, n) start-of-round empirical means."""
+        return np.array([emp for _, emp, _ in self.seen])
+
+    @property
+    def radii(self):
+        """(T, K, n) start-of-round radii."""
+        return np.array([radii for _, _, radii in self.seen])
+
+
+def recorded_run(model, cfg, horizon):
+    """Run the exact-DP learner with a Recorder attached."""
+    recorder = Recorder()
+    trace = run(model, ExactDpSolver(cfg), cfg, horizon, observer=recorder)
+    return trace, recorder
+
+
 class TestComputeUcb:
     """The radii and optimistic values run computes at the start of each round."""
 
     def test_untried_arms_sit_at_the_clamp(self):
         cfg = native_cfg()
-        trace = run(flat_model(seed=2), ExactDpSolver(cfg), cfg, 1, record_internals=True)
-        assert np.all(np.isinf(trace.radius_snapshots[0]))
-        upper = np.minimum(1.0, trace.emp_snapshots[0] + trace.radius_snapshots[0])
+        _, seen = recorded_run(flat_model(seed=2), cfg, 1)
+        assert np.all(np.isinf(seen.radii[0]))
+        upper = np.minimum(1.0, seen.emp_means[0] + seen.radii[0])
         assert np.all(upper == 1.0)
 
     def test_radius_formula(self):
         model, cfg = table_3x4()
         horizon = 3000
-        trace = run(model, ExactDpSolver(cfg), cfg, horizon, record_internals=True)
+        trace, seen = recorded_run(model, cfg, horizon)
         want, counts = expected_radii(trace.levels, cfg.space.n, horizon)
-        assert np.array_equal(trace.radius_snapshots, want)
+        assert np.array_equal(seen.radii, want)
         assert np.array_equal(np.isinf(want), counts == 0)
 
     def test_clamp_into_unit_interval(self):
         # every round plays the solver's choice on min(1, emp + radius)
         model, cfg = table_3x4()
-        trace = run(model, ExactDpSolver(cfg), cfg, 400, record_internals=True)
-        raw = trace.emp_snapshots + trace.radius_snapshots
+        trace, seen = recorded_run(model, cfg, 400)
+        raw = seen.emp_means + seen.radii
         assert (raw > 1.0).any() and (raw < 1.0).any()  # the clamp binds somewhere
         upper = np.minimum(1.0, raw)
         solver = ExactDpSolver(cfg)
@@ -94,8 +121,8 @@ class TestComputeUcb:
 
     def test_radii_shrink_with_counts_and_grow_with_time(self):
         model, cfg = table_3x4()
-        trace = run(model, ExactDpSolver(cfg), cfg, 600, record_internals=True)
-        radii = trace.radius_snapshots
+        trace, seen = recorded_run(model, cfg, 600)
+        radii = seen.radii
         _, counts = expected_radii(trace.levels, cfg.space.n, len(trace))
         tried = counts > 0
         # within a round, more pulls mean a smaller radius
@@ -262,24 +289,24 @@ class TestRun:
         run(model, ExactDpSolver(cfg), cfg, 25, observer=observer)
         assert seen == list(range(1, 26))
 
-    def test_record_internals(self):
+    def test_recorded_statistics(self):
         cfg = native_cfg()
         model = flat_model(seed=6)
-        trace = run(model, ExactDpSolver(cfg), cfg, 30, record_internals=True)
-        assert trace.emp_snapshots.shape == (30, 2, 3)
-        assert trace.radius_snapshots.shape == (30, 2, 3)
-        assert np.all(trace.emp_snapshots[0] == 0.0)
-        assert np.all(np.isinf(trace.radius_snapshots[0]))
-        # snapshots are pre-selection: round 2 reflects exactly one update
-        assert np.isfinite(trace.radius_snapshots[1]).sum() == 2
+        _, seen = recorded_run(model, cfg, 30)
+        assert seen.emp_means.shape == (30, 2, 3)
+        assert seen.radii.shape == (30, 2, 3)
+        assert np.all(seen.emp_means[0] == 0.0)
+        assert np.all(np.isinf(seen.radii[0]))
+        # observers run before selection: round 2 reflects exactly one update
+        assert np.isfinite(seen.radii[1]).sum() == 2
 
     def test_optimism_invariant(self):
         # before each round, upper = min(1, emp + radius) >= emp
         cfg = native_cfg()
         model = flat_model(seed=8)
-        trace = run(model, ExactDpSolver(cfg), cfg, 50, record_internals=True)
-        upper = np.minimum(1.0, trace.emp_snapshots + trace.radius_snapshots)
-        assert np.all(upper >= trace.emp_snapshots - 1e-12)
+        _, seen = recorded_run(model, cfg, 50)
+        upper = np.minimum(1.0, seen.emp_means + seen.radii)
+        assert np.all(upper >= seen.emp_means - 1e-12)
 
     @pytest.mark.slow
     def test_peak_memory_per_round(self):
@@ -419,16 +446,6 @@ LANE_SOLVERS = {
 }
 
 
-class Recorder:
-    """An observer that keeps a copy of every argument it is shown."""
-
-    def __init__(self):
-        self.seen = []
-
-    def __call__(self, t, emp_means, radii):
-        self.seen.append((t, emp_means.copy(), radii.copy()))
-
-
 def assert_same_run(got, want, got_obs, want_obs):
     assert np.array_equal(got.levels, want.levels)
     assert np.array_equal(got.rewards, want.rewards)
@@ -498,16 +515,18 @@ class TestLockstep:
 
     def test_internals_and_history_per_lane(self):
         cfg, models, solvers = self.lanes("concave-K2-cap-below", "exact", 2)
+        alone_obs = [Recorder() for _ in models]
         alone = [
-            run(m, s, cfg, 120, record_internals=True) for m, s in zip(models, solvers())
+            run(m, s, cfg, 120, observer=o)
+            for m, s, o in zip(models, solvers(), alone_obs)
         ]
-        block = run(models, solvers(), cfg, 120, record_internals=True)
+        block_obs = [Recorder() for _ in models]
+        run(models, solvers(), cfg, 120, observer=block_obs)
         bare = run(models, solvers(), cfg, 120, record_history=False)
-        for got, lean, want in zip(block, bare, alone):
-            assert np.array_equal(got.emp_snapshots, want.emp_snapshots)
-            assert np.array_equal(got.radius_snapshots, want.radius_snapshots)
+        for got_obs, lean, want, want_obs in zip(block_obs, bare, alone, alone_obs):
+            assert np.array_equal(got_obs.emp_means, want_obs.emp_means)
+            assert np.array_equal(got_obs.radii, want_obs.radii)
             assert lean.levels is None and lean.rewards is None
-            assert lean.emp_snapshots is None
             assert np.array_equal(lean.expected, want.expected)
             assert np.array_equal(lean.stats.counts, want.stats.counts)
 

@@ -422,14 +422,18 @@ class TestCoinFlipOracle:
             runs.append([tuple(oracle.solve_levels(means)) for _ in range(50)])
         assert runs[0] == runs[1]
 
-    def test_coins_match_pointwise_draws_across_blocks(self):
+    @pytest.mark.parametrize("entry", ["solve_levels", "solve"])
+    def test_coins_match_pointwise_draws_across_blocks(self, entry):
         cfg = native_cfg(2, 2.0, 3)
         means = np.array([[0.0, 0.5, 0.6], [0.0, 0.3, 0.9]])
         beta, seed = 0.55, 2024
         oracle = CoinFlipOracle(GreedySolver(cfg), beta=beta, seed=seed)
         success = reference_greedy(means, cfg).tolist()
         assert success != [0, 0]
-        got = [oracle.solve_levels(means).tolist() for _ in range(2500)]
+        if entry == "solve":
+            got = [list(oracle.solve(means).allocation.levels) for _ in range(2500)]
+        else:
+            got = [oracle.solve_levels(means).tolist() for _ in range(2500)]
         want = [
             success if reference_coin(seed, streams.COIN_STREAM, c) < beta else [0, 0]
             for c in range(1, 2501)

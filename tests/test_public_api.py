@@ -75,7 +75,8 @@ PARAMETERS = {
     "CoinFlipOracle": ["base", "beta", "seed"],
     "compute_gaps": ["model", "cfg", "alpha"],
     "regret_series": ["trace", "opt"],
-    "run_discretized": ["model", "oracle_spec", "budget", "horizon", "record_internals"],
+    "run": ["model", "solver", "cfg", "horizon", "observer", "record_history"],
+    "run_discretized": ["model", "oracle_spec", "budget", "horizon"],
     "split_discretization_regret": ["trace", "grid_opt", "reference"],
 }
 
