@@ -2,6 +2,14 @@
 discretized-continuous per-resource budgets, with exact offline solving,
 closed-form reward environments and regret bound evaluators."""
 
+import os
+
+# No code here calls into BLAS, yet on import numpy's OpenBLAS starts one
+# worker thread per extra core, and each spins on CPU for a while. Pinning
+# OpenBLAS to one thread before numpy is first imported starts none; a value
+# the user has set still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .analysis import (
     BoundParams,
     CoverageObserver,

@@ -13,15 +13,13 @@ files.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing, contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
-from itertools import chain
+from itertools import chain, count
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -417,6 +415,9 @@ def build_model(config: ExperimentConfig, rng_seed: int) -> RewardModel:
 
 # -- deterministic CSV plumbing ---------------------------------------------
 
+# Rows that _round_rows converts to Python numbers at a time.
+_CSV_CHUNK_ROWS = 1024
+
 
 def _fmt(value) -> str:
     if value is None:
@@ -427,22 +428,32 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, header: Iterable[str], rows, meta: dict) -> None:
-    """Write the file beside ``path`` under a temporary name and move it into
-    place once complete, so a failed or interrupted write never leaves a
-    truncated file under the real name."""
+    """Write ``rows``, an iterable of rows of numbers or None, as lines of
+    comma-joined _fmt cells. The cells never hold a comma or quote, so no
+    field needs quoting. The file is written beside ``path`` under a
+    temporary name and moved into place once complete, so a failed or
+    interrupted write never leaves a truncated file under the real name."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", newline="") as fh:
             for key, value in meta.items():
                 fh.write(f"# {key}={value}\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt(cell) for cell in row])
+            fh.write(",".join(header) + "\n")
+            fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _round_rows(*columns: np.ndarray) -> Iterator[tuple]:
+    """Rows (t + 1, columns[0][t], columns[1][t], ...) for every index t of
+    the equal-length columns, as Python numbers. Each column goes through
+    tolist() one slice of _CSV_CHUNK_ROWS rows at a time, which is cheaper
+    than indexing numpy scalars and never converts a whole column at once."""
+    for lo in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
+        parts = [column[lo:lo + _CSV_CHUNK_ROWS].tolist() for column in columns]
+        yield from zip(count(lo + 1), *parts)
 
 
 def _write_trace_csv(path: Path, trace: RunTrace, rounds: int, meta: dict) -> None:
@@ -454,9 +465,8 @@ def _write_trace_csv(path: Path, trace: RunTrace, rounds: int, meta: dict) -> No
         + [f"reward_{k}" for k in range(1, resources + 1)]
         + ["expected_total"]
     )
-    rows = (
-        [t + 1, *trace.levels[t], *trace.rewards[t], trace.expected[t]]
-        for t in range(rounds)
+    rows = _round_rows(
+        *trace.levels[:rounds].T, *trace.rewards[:rounds].T, trace.expected[:rounds]
     )
     _write_csv(path, header, rows, meta)
 
@@ -520,6 +530,10 @@ def _map_ordered(fn, payloads: list, jobs: int) -> Iterator:
     if workers <= 1:
         yield from map(fn, payloads)
     else:
+        # Imported here: it loads multiprocessing, which a run that starts
+        # no workers never needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(fn, payloads, chunksize=1)
 
@@ -693,10 +707,7 @@ def _run_bandit_modes(config: ExperimentConfig, out_dir: Path) -> ExperimentSumm
         _write_csv(
             curve_path,
             ("round", "mean_cum_regret", "std_cum_regret"),
-            (
-                [t + 1, curve_mean[t], curve_std[t]]
-                for t in range(horizon)
-            ),
+            _round_rows(curve_mean, curve_std),
             {
                 "config_hash": config.config_hash(),
                 "mode": config.mode,

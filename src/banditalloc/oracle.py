@@ -83,7 +83,7 @@ def _check_means(means: np.ndarray, cfg: ProblemConfig) -> np.ndarray:
 class _SolverBase:
     """Shared result plumbing. Concrete solvers implement _levels, which
     receives a matrix _check_means has already validated, or override
-    solve_levels; solve validates the means, then calls solve_levels."""
+    solve_levels; solve calls solve_levels, which validates the means."""
 
     def __init__(self, cfg: ProblemConfig, kind: str):
         self.cfg = cfg
@@ -99,8 +99,8 @@ class _SolverBase:
         return self._levels(_check_means(means, self.cfg))
 
     def solve(self, means: np.ndarray) -> OracleResult:
-        means = _check_means(means, self.cfg)
         levels = self.solve_levels(means)
+        means = np.asarray(means, dtype=np.float64)
         alloc = Allocation(tuple(int(a) for a in levels))
         return OracleResult(alloc, allocation_value(means, levels))
 
@@ -353,24 +353,29 @@ class CoinFlipOracle(_SolverBase):
         self._first = 1
         self._coins: list[float] = []
 
-    def _heads(self) -> bool:
-        """Count one call and report whether its coin succeeds."""
-        self.calls += 1
-        i = self.calls - self._first
+    def _next_heads(self) -> bool:
+        """Whether the coin of the next call succeeds; the call is counted
+        only once it returns."""
+        call = self.calls + 1
+        i = call - self._first
         if not 0 <= i < len(self._coins):
-            self._first = self.calls
+            self._first = call
             self._coins = streams.uniform_block(
-                self._seed, streams.COIN_STREAM, self.calls, _COIN_BLOCK
+                self._seed, streams.COIN_STREAM, call, _COIN_BLOCK
             ).tolist()
             i = 0
         return self._coins[i] < self.spec.beta
 
     def solve_levels(self, means: np.ndarray) -> np.ndarray:
-        # The base solver validates the means on success, _check_means on failure.
-        if self._heads():
-            return self.base.solve_levels(means)
-        _check_means(means, self.cfg)
-        return np.zeros(self.cfg.resources, dtype=np.int64)
+        # The base solver validates the means on success, _check_means on
+        # failure; a call whose means are rejected spends no coin.
+        if self._next_heads():
+            levels = self.base.solve_levels(means)
+        else:
+            _check_means(means, self.cfg)
+            levels = np.zeros(self.cfg.resources, dtype=np.int64)
+        self.calls += 1
+        return levels
 
 
 def _lane_solver(solvers) -> Callable[[np.ndarray], Sequence[np.ndarray]]:

@@ -1,6 +1,9 @@
 """Experiment harness and CLI: config validation, file determinism, modes."""
 
+import concurrent.futures
 import copy
+import csv
+import io
 import json
 import math
 import warnings
@@ -20,6 +23,9 @@ from banditalloc.experiment import (
     AGGREGATE_COLUMNS,
     BOUNDS_COLUMNS,
     ORACLE_CHECK_COLUMNS,
+    _CSV_CHUNK_ROWS,
+    _fmt,
+    _round_rows,
     _write_csv,
     build_model,
 )
@@ -583,7 +589,7 @@ def test_worker_count_is_capped(
         def map(self, fn, payloads, chunksize):
             return map(fn, payloads)
 
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(experiment.os, "cpu_count", lambda: cpus)
     raw = dra_dict(horizons=horizons, replications=reps, jobs=jobs, out=str(tmp_path))
     run_experiment(ExperimentConfig.from_dict(raw))
@@ -708,7 +714,7 @@ class TestWorkIsShared:
             def map(self, fn, payloads, chunksize):
                 return map(fn, payloads)
 
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
         raw = dra_dict(replications=5, jobs=2, out=str(tmp_path))
         assert self.recorded_calls(monkeypatch, raw) == [(200, [0, 1]), (200, [2, 3, 4])]
@@ -738,6 +744,48 @@ class TestAtomicCsv:
             _write_csv(path, ("a", "b"), self.rows_then_crash(), {"k": "w"})
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
+
+
+class TestCsvBytes:
+    """_write_csv writes the bytes of csv.writer over the same _fmt cells,
+    on both sides of the row chunk that _round_rows converts at a time."""
+
+    CELLS = [None, 3, np.int64(-7), 0.1, np.float64(2 / 3), -0.0, 5e-324, 1e16, math.inf]
+    ROWS = [0, 1, _CSV_CHUNK_ROWS - 1, _CSV_CHUNK_ROWS + 1]
+
+    @staticmethod
+    def reference(header, rows, meta):
+        buf = io.StringIO()
+        for key, value in meta.items():
+            buf.write(f"# {key}={value}\n")
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(cell) for cell in row])
+        return buf.getvalue().encode()
+
+    @pytest.mark.parametrize("n", ROWS)
+    def test_rows_match_csv_writer(self, tmp_path, n):
+        width = len(self.CELLS)
+        header = [f"c{j}" for j in range(width)]
+        rows = [[self.CELLS[(t + j) % width] for j in range(width)] for t in range(n)]
+        path = tmp_path / "out.csv"
+        _write_csv(path, header, rows, {"k": "v"})
+        assert path.read_bytes() == self.reference(header, rows, {"k": "v"})
+
+    @pytest.mark.parametrize("n", ROWS)
+    def test_round_rows_match_indexed_cells(self, tmp_path, n):
+        # Columns as the curve and trace files pass them: float64 arrays and
+        # the strided columns of a (T, K) int64 array.
+        values = np.array([-0.0, 5e-324, 1e16, np.inf, 0.1, 2 / 3])
+        floats = values[np.arange(n) % values.size]
+        levels = np.arange(2 * n, dtype=np.int64).reshape(n, 2) - n
+        header = ["round", "level_1", "level_2", "value"]
+        path = tmp_path / "out.csv"
+        _write_csv(path, header, _round_rows(*levels.T, floats), {})
+        # The former rows: numpy scalars indexed one round at a time.
+        want = ([t + 1, *levels[t], floats[t]] for t in range(n))
+        assert path.read_bytes() == self.reference(header, want, {})
 
 
 class TestCraRuns:

@@ -17,6 +17,7 @@ from banditalloc import (
     solve_exact_dp,
     streams,
 )
+from banditalloc import oracle as oracle_module
 
 
 def native_cfg(resources, budget, n):
@@ -490,6 +491,36 @@ class TestCoinFlipOracle:
         oracle = build_solver(OracleSpec(1.0, 0.6, "exact_dp"), cfg, seed=0)
         assert isinstance(oracle, CoinFlipOracle)
         assert oracle.spec == OracleSpec(1.0, 0.6, "exact_dp")
+
+
+@pytest.mark.parametrize("kind", ["exact", "greedy", "coin heads", "coin tails"])
+def test_solve_checks_the_means_once(monkeypatch, kind):
+    cfg = native_cfg(2, 2.0, 3)
+    means = [[0.0, 0.5, 0.6], [0.0, 0.3, 0.9]]
+    seed, tiny = 3, 1e-9
+    assert reference_coin(seed, streams.COIN_STREAM, 1) >= tiny
+    solver = {
+        "exact": lambda: ExactDpSolver(cfg),
+        "greedy": lambda: GreedySolver(cfg),
+        "coin heads": lambda: CoinFlipOracle(ExactDpSolver(cfg), 1.0, seed),
+        "coin tails": lambda: CoinFlipOracle(GreedySolver(cfg), tiny, seed),
+    }[kind]()
+    base = getattr(solver, "base", solver)
+    want = (0, 0) if kind == "coin tails" else type(base)(cfg).solve(means).allocation.levels
+    checks = []
+    check = oracle_module._check_means
+
+    def counting_check(*args):
+        checks.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(oracle_module, "_check_means", counting_check)
+    # The means arrive as a list: solve still folds the value over a
+    # float64 matrix.
+    got = solver.solve(means)
+    assert len(checks) == 1
+    assert got.allocation.levels == want
+    assert got.value == allocation_value(np.array(means), want)
 
 
 class TestOracleSpec:

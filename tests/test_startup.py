@@ -1,0 +1,150 @@
+"""Start-up cost: importing banditalloc starts no BLAS thread, a run that
+starts no workers never loads the process pool, and no source file makes
+the BLAS call that would make the one-thread pin cost something."""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "banditalloc"
+
+
+def fresh_python(code, **env_over):
+    """Run ``code`` in a new interpreter that imports banditalloc from this
+    checkout, with OPENBLAS_NUM_THREADS unset unless given; returns stdout."""
+    env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    env.update(env_over)
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+IMPORT_STATE = """
+import json, os, sys
+import banditalloc
+status = "/proc/self/status"
+threads = None
+if sys.platform.startswith("linux") and os.path.exists(status):
+    with open(status) as fh:
+        threads = next(int(line.split()[1]) for line in fh if line.startswith("Threads:"))
+print(json.dumps({"blas": os.environ.get("OPENBLAS_NUM_THREADS"), "threads": threads}))
+"""
+
+
+def test_import_pins_blas_to_one_thread():
+    state = json.loads(fresh_python(IMPORT_STATE))
+    assert state["blas"] == "1"
+    if state["threads"] is None:
+        pytest.skip("no /proc/self/status to count threads")
+    assert state["threads"] == 1
+
+
+def test_import_keeps_a_preset_blas_thread_count():
+    state = json.loads(fresh_python(IMPORT_STATE, OPENBLAS_NUM_THREADS="3"))
+    assert state["blas"] == "3"
+
+
+def test_single_job_run_never_loads_the_process_pool(tmp_path):
+    config = tmp_path / "dra.json"
+    config.write_text(
+        json.dumps(
+            {
+                "mode": "dra",
+                "seed": 7,
+                "problem": {"resources": 2, "budget": 2.0, "levels": 3},
+                "rewards": {
+                    "family": "table",
+                    "probs": [[0.1, 0.5, 0.6], [0.05, 0.3, 0.9]],
+                },
+                "horizons": [50, 200],
+                "replications": 3,
+            }
+        )
+    )
+    code = (
+        "import sys\n"
+        "from banditalloc.cli import main\n"
+        f"argv = ['run', '--config', {str(config)!r}, '--out', {str(tmp_path / 'out')!r},"
+        " '--jobs', '1']\n"
+        "code = main(argv)\n"
+        "print(code, 'concurrent.futures' in sys.modules)\n"
+    )
+    assert fresh_python(code).splitlines()[-1] == "0 False"
+    assert (tmp_path / "out" / "aggregate.csv").exists()
+
+
+# Calls that numpy hands to BLAS: the @ operator, these functions and
+# methods, and anything under numpy.linalg.
+BLAS_NAMES = {"dot", "matmul", "einsum", "tensordot", "inner", "vdot", "linalg"}
+
+
+def blas_uses(source):
+    """(line, what) for each BLAS-backed call or import in ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+            node.op, ast.MatMult
+        ):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith(
+            "numpy"
+        ):
+            parts = set(node.module.split(".")) | {alias.name for alias in node.names}
+            found += [(node.lineno, name) for name in sorted(parts & BLAS_NAMES)]
+        elif isinstance(node, ast.Import):
+            found += [
+                (node.lineno, alias.name)
+                for alias in node.names
+                if "linalg" in alias.name.split(".")
+            ]
+    return found
+
+
+def test_blas_check_catches_each_form():
+    samples = [
+        "c = a @ b",
+        "a @= b",
+        "c = np.dot(a, b)",
+        "c = a.dot(b)",
+        "c = np.matmul(a, b)",
+        "c = np.einsum('ij,jk', a, b)",
+        "c = np.tensordot(a, b)",
+        "c = np.inner(a, b)",
+        "c = np.vdot(a, b)",
+        "c = np.linalg.norm(a)",
+        "from numpy import inner",
+        "from numpy.linalg import norm",
+        "import numpy.linalg",
+    ]
+    for sample in samples:
+        assert blas_uses(sample), sample
+    assert blas_uses("c = np.cumsum(a * b) + a.sum()") == []
+
+
+def test_no_source_file_calls_blas():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    found = {
+        path.name: uses
+        for path in sources
+        if (uses := blas_uses(path.read_text()))
+    }
+    assert found == {}
