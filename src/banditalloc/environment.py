@@ -162,8 +162,13 @@ class RewardModel:
         if self.family == "hinge":
             scales = (self.thetas * self.budget).tolist()
             return space.level_values.tolist(), scales, self.budget
-        gains = 1.0 - np.exp(-space.level_values[None, :] / self.thetas[:, None])
-        return [[p] * n for p in self.success_probs.tolist()], gains.tolist()
+        thresholds = [[p] * n for p in self.success_probs.tolist()]
+        return thresholds, self._gains(space).tolist()
+
+    def _gains(self, space: ActionSpace) -> np.ndarray:
+        """(K, n) concave_exp gains 1 - exp(-v_a / theta_k), which
+        success_table lists and mean_matrix scales by p_k."""
+        return 1.0 - np.exp(-space.level_values[None, :] / self.thetas[:, None])
 
     def rewards_from_uniforms(
         self, table: tuple, levels: np.ndarray, u: np.ndarray
@@ -203,17 +208,13 @@ class RewardModel:
         self.check_space(space)
         if self.family == "table":
             return np.array(self.probs)
+        if self.family == "concave_exp":
+            return self.success_probs[:, None] * self._gains(space)
         values = space.level_values[None, :]
-        if self.family == "hinge":
-            spread = (self.thetas * self.budget)[:, None]
-            below = values * values / (2.0 * spread)
-            above = values - spread / 2.0
-            means = np.where(values <= spread, below, above) / self.budget
-        else:
-            means = self.success_probs[:, None] * (
-                1.0 - np.exp(-values / self.thetas[:, None])
-            )
-        return means
+        spread = (self.thetas * self.budget)[:, None]
+        below = values * values / (2.0 * spread)
+        above = values - spread / 2.0
+        return np.where(values <= spread, below, above) / self.budget
 
     def lipschitz_constant(self) -> float:
         """Upper bound on |d mean / d budget| across resources.

@@ -7,15 +7,17 @@ values, plays it, and folds the observed per-resource rewards back into the
 statistics (semi-bandit feedback: one observation per resource per round, not
 one per round).
 
-Untried arms have an infinite radius, so their optimistic value is the clamp
-value 1. That does not make every arm get pulled: a tried arm whose clamped
-value is also 1 ties with an untried one, and the solver's tie-break (fewest
-budget units, then the lowest levels) can keep choosing the tried arm. On
-the 3x4 reference instance of the acceptance tests (reward seed 7, 50,000
-rounds) the second resource's level-0 arm has mean 0.979, its optimistic
-value sits at 1, and its top level is never pulled: that resource's level
-counts end at [49958, 22, 20, 0]. There is no initial round-robin over the
-arms.
+The pull counts are kept as floats (exact below 2**53; the end-of-run
+statistics hold them as int64), so an untried arm's radius is
+sqrt(x / 0) = +inf by IEEE division, with no mask, and its optimistic value
+is the clamp value 1. That does not make every arm get pulled: a tried arm
+whose clamped value is also 1 ties with an untried one, and the solver's
+tie-break (fewest budget units, then the lowest levels) can keep choosing
+the tried arm. On the 3x4 reference instance of the acceptance tests
+(reward seed 7, 50,000 rounds) the second resource's level-0 arm has mean
+0.979, its optimistic value sits at 1, and its top level is never pulled:
+that resource's level counts end at [49958, 22, 20, 0]. There is no initial
+round-robin over the arms.
 
 run steps a block of independent runs ("lanes") of one instance in
 lockstep, one model, solver and observer per lane: the statistics of all
@@ -42,8 +44,9 @@ from .core import ProblemConfig
 from .environment import RewardModel
 from .oracle import _lane_solver, _SolverBase, allocation_value
 
-# Rounds per batch of log evaluations in run().
-_LOG_CHUNK = 1024
+# Rounds per chunk in run(): one batch of log evaluations, one block of
+# drawn noise, one buffer of levels and one fold of expected values.
+_CHUNK = 1024
 
 # observer(t, emp_means, radii), called at the start of round t.
 Observer = Callable[[int, np.ndarray, np.ndarray], None]
@@ -57,40 +60,16 @@ class ArmStats:
     emp_means: np.ndarray  # (K, n) float64, 0 wherever the count is 0
 
 
-def _radii_into(
-    radii: np.ndarray, twice_counts: np.ndarray, tried: np.ndarray, scaled_log: float
-) -> None:
-    """Write sqrt(3 ln t / (2 count)) into ``radii`` for the arms ``tried``
-    marks, given ``scaled_log`` = 3 ln t and the float ``twice_counts`` =
-    2 count. The entries of untried arms must hold +inf already and keep it,
-    so no division by zero happens (at t = 1 every arm is untried). Pass
-    ``tried=True`` once every arm has a count."""
-    np.divide(scaled_log, twice_counts, out=radii, where=tried)
-    np.sqrt(radii, out=radii)
-
-
-def _clamp_upper(emp_means, radii, out: np.ndarray) -> np.ndarray:
-    """Write the optimistic values min(1, emp_mean + radius) into ``out``."""
-    np.add(emp_means, radii, out=out)
-    return np.minimum(out, 1.0, out=out)
-
-
-def _fold(counts, emp_means, levels, rewards, twice_counts) -> int:
+def _fold(counts, emp_means, levels, rewards) -> None:
     """Fold one reward per resource into its pulled arm as the running mean
-    mean += (reward - mean) / count, keeping the float twice_counts =
-    2 count alongside; returns how many of those arms were untried. A round
+    mean += (reward - mean) / count, with the counts held as floats. A round
     touches one cell per resource, so the cells are written one at a time
     rather than through fancy indexing."""
-    first_pulls = 0
     for k, (a, reward) in enumerate(zip(levels, rewards)):
         seen = counts.item(k, a) + 1
         counts[k, a] = seen
-        twice_counts[k, a] = 2.0 * seen
         prev = emp_means.item(k, a)
         emp_means[k, a] = prev + (reward - prev) / seen
-        if seen == 1:
-            first_pulls += 1
-    return first_pulls
 
 
 @dataclass
@@ -176,17 +155,14 @@ def run(
     shape = (width, resources, cfg.space.n)
 
     # Every lane's statistics are one (K, n) slice of a (R, K, n) block, so
-    # the radii and the clamp are computed for all lanes at once.
-    counts = np.zeros(shape, dtype=np.int64)
+    # the radii and the clamp are computed for all lanes at once. The counts
+    # are floats: each round divides 1.5 ln t by them, which equals
+    # 3 ln t / (2 count) bit for bit (scaling both sides by 2 is exact), and
+    # an untried arm's x / 0 is +inf. ln t is evaluated per chunk of rounds:
+    # np.log over an array gives the same doubles as np.log round by round.
+    counts = np.zeros(shape)
     emp_means = np.zeros(shape)
-    # The radii live in one buffer that starts at +inf; each round rewrites
-    # the tried arms from 2 count (kept as floats) and 3 ln t, which is
-    # evaluated per chunk of rounds: np.log over an array gives the same
-    # doubles as np.log round by round.
-    twice_counts = np.zeros(shape)
-    tried = np.zeros(shape, dtype=bool)
-    untried = tried.size
-    radii = np.full(shape, np.inf)
+    radii = np.empty(shape)
     upper = np.empty(shape)
 
     means = [m.mean_matrix(cfg.space) for m in models]
@@ -199,15 +175,18 @@ def run(
         reward_hist = [np.empty((horizon, resources)) for _ in models]
     else:
         level_hist = reward_hist = [None] * width
-        chunk_levels = [np.empty((_LOG_CHUNK, resources), dtype=np.int64) for _ in models]
+        chunk_levels = [np.empty((_CHUNK, resources), dtype=np.int64) for _ in models]
     watched = [
         (o, e, r) for o, e, r in zip(observers, emp_means, radii) if o is not None
     ]
 
-    for start in range(1, horizon + 1, _LOG_CHUNK):
-        stop = min(start + _LOG_CHUNK, horizon + 1)
+    for start in range(1, horizon + 1, _CHUNK):
+        stop = min(start + _CHUNK, horizon + 1)
         chunk = slice(start - 1, stop - 1)
-        scaled_logs = (3.0 * np.log(np.arange(start, stop, dtype=np.float64))).tolist()
+        half_logs = (1.5 * np.log(np.arange(start, stop, dtype=np.float64))).tolist()
+        if start == 1:
+            # Every arm is untried in round 1, where ln 1 = 0 would give 0 / 0.
+            half_logs[0] = np.inf
         if record_history:
             played = [history[chunk] for history in level_hist]
         else:
@@ -228,18 +207,19 @@ def run(
                 *lane,
             )
             for m, table, *lane in zip(
-                models, tables, counts, emp_means, twice_counts, played, reward_hist
+                models, tables, counts, emp_means, played, reward_hist
             )
         ]
-        for t, scaled_log in zip(range(start, stop), scaled_logs):
-            _radii_into(radii, twice_counts, tried if untried else True, scaled_log)
+        for t, half_log in zip(range(start, stop), half_logs):
+            with np.errstate(divide="ignore"):
+                np.divide(half_log, counts, out=radii)
+            np.sqrt(radii, out=radii)
             for observe, lane_emp, lane_radii in watched:
                 observe(t, lane_emp, lane_radii)
-            chosen = solve(_clamp_upper(emp_means, radii, upper))
-            first_pulls = 0
+            np.add(emp_means, radii, out=upper)
+            chosen = solve(np.minimum(upper, 1.0, out=upper))
             for lane, levels in zip(block, chosen):
-                (m, table, uniforms, lane_counts, lane_emp, lane_twice,
-                 lane_played, seen) = lane
+                m, table, uniforms, lane_counts, lane_emp, lane_played, seen = lane
                 rewards = m.rewards_from_uniforms(table, levels, uniforms[t - start])
                 for reward in rewards:
                     # Written so that NaN fails too.
@@ -250,12 +230,7 @@ def run(
                 lane_played[t - start] = levels
                 if record_history:
                     seen[t - 1] = rewards
-                first_pulls += _fold(
-                    lane_counts, lane_emp, levels.tolist(), rewards, lane_twice
-                )
-            if first_pulls:
-                untried -= first_pulls
-                np.greater(counts, 0, out=tried)
+                _fold(lane_counts, lane_emp, levels.tolist(), rewards)
         # allocation_value folds each round's levels from the last resource
         # back, the same doubles whatever the chunking.
         for exp, lane_means, lane_played in zip(expected, means, played):
@@ -267,7 +242,9 @@ def run(
             rewards=rewards,
             expected=exp,
             config=cfg,
-            stats=ArmStats(counts=lane_counts.copy(), emp_means=lane_emp.copy()),
+            stats=ArmStats(
+                counts=lane_counts.astype(np.int64), emp_means=lane_emp.copy()
+            ),
         )
         for levels, rewards, exp, lane_counts, lane_emp in zip(
             level_hist, reward_hist, expected, counts, emp_means

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ def fresh_stats(resources, levels):
 
 def fold(stats, levels, rewards):
     """Fold one round into ``stats`` the way run does."""
-    _fold(stats.counts, stats.emp_means, levels, rewards, 2.0 * stats.counts)
+    _fold(stats.counts, stats.emp_means, levels, rewards)
 
 
 def table_3x4(seed=7):
@@ -180,6 +181,53 @@ class TestUpdate:
             model = OutOfRange(family="table", rng_seed=0, probs=np.full((2, 3), 0.5))
             with pytest.raises(AssertionError, match=r"outside \[0, 1\]"):
                 run(model, ExactDpSolver(cfg), cfg, horizon)
+
+
+class TestUntriedArms:
+    """Untried arms get their +inf radius from dividing by a zero count, and
+    that division alone runs with divide-by-zero ignored: observers, solvers
+    and the reward model keep the caller's floating-point error state."""
+
+    class StrictRecorder(Recorder):
+        def __call__(self, t, emp_means, radii):
+            assert np.geterr()["divide"] == "raise"
+            super().__call__(t, emp_means, radii)
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_zero_counts_give_infinite_radii_under_strict_errors(self, width):
+        # Past 1024 rounds, so a second chunk of log evaluations runs too;
+        # the second resource's top level is still untried at the end.
+        seeds = [7, 20, 37][:width]
+        cfg = table_3x4()[1]
+        models = [table_3x4(seed)[0] for seed in seeds]
+        observers = [self.StrictRecorder() for _ in models]
+        horizon = 1500
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if width == 1:
+                traces = [
+                    run(models[0], ExactDpSolver(cfg), cfg, horizon, observers[0])
+                ]
+            else:
+                solvers = [ExactDpSolver(cfg) for _ in models]
+                traces = run(models, solvers, cfg, horizon, observers)
+        for trace, seen in zip(traces, observers):
+            want, counts = expected_radii(trace.levels, cfg.space.n, horizon)
+            assert np.array_equal(seen.radii, want)
+            assert np.array_equal(np.isposinf(seen.radii), counts == 0)
+            assert (trace.stats.counts == 0).any()
+
+    def test_final_counts_are_int64_pull_counts(self):
+        model, cfg = table_3x4()
+        models = [model, table_3x4(20)[0]]
+        traces = run(models, [ExactDpSolver(cfg) for _ in models], cfg, 700)
+        for trace in traces:
+            assert trace.stats.counts.dtype == np.int64
+            recounted = [
+                np.bincount(trace.levels[:, k], minlength=cfg.space.n)
+                for k in range(cfg.resources)
+            ]
+            assert np.array_equal(trace.stats.counts, recounted)
 
 
 class TestSelectAllocation:
