@@ -18,6 +18,7 @@ play, and any round can be replayed in isolation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -138,9 +139,12 @@ class RewardModel:
         )
         return rewards[arm.k - 1]
 
-    def uniform_block(self, k: int, start: int, count: int) -> np.ndarray:
+    def uniform_block(
+        self, k: int | Sequence[int], start: int, count: int
+    ) -> np.ndarray:
         """The raw uniforms behind resource k's rewards for rounds
-        start..start+count-1."""
+        start..start+count-1: (count,), or (len(k), count) for a sequence
+        of resources."""
         return streams.uniform_block(self.rng_seed, k, start, count)
 
     def success_table(self, space: ActionSpace) -> tuple:

@@ -146,12 +146,13 @@ def run(
         tables.append(m.success_table(cfg.space))  # raises if the space does not fit
         if s.cfg is not cfg and s.cfg != cfg:
             raise ValueError("solver was built for a different instance")
-    # The clamp keeps every optimistic value in [0, 1], so the batched DP
-    # may skip the finiteness check.
+    # The clamp keeps every optimistic value in [0, 1], so the lanes'
+    # solvers may skip the finiteness check.
     solve = _lane_solver(solvers)
 
     width = len(models)
     resources = cfg.resources
+    resource_ids = range(1, resources + 1)
     shape = (width, resources, cfg.space.n)
 
     # Every lane's statistics are one (K, n) slice of a (R, K, n) block, so
@@ -194,18 +195,7 @@ def run(
         # Philox addressing gives a round the same uniforms in any block;
         # row i of a lane's (rounds, K) uniforms belongs to round start + i.
         block = [
-            (
-                m,
-                table,
-                np.stack(
-                    [
-                        m.uniform_block(k, start, stop - start)
-                        for k in range(1, resources + 1)
-                    ],
-                    axis=1,
-                ),
-                *lane,
-            )
+            (m, table, m.uniform_block(resource_ids, start, stop - start).T, *lane)
             for m, table, *lane in zip(
                 models, tables, counts, emp_means, played, reward_hist
             )

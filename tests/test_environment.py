@@ -36,6 +36,67 @@ class TestStreams:
         with pytest.raises(ValueError):
             streams.uniform_block(1, 1, 1, -1)
 
+    def test_block_equals_numpy_philox(self):
+        # The kernel against numpy's own Philox4x64-10 at random addresses:
+        # half the seeds at or above 2**63, where numpy's key conversion goes
+        # through float64, and streams from the reward range and the coins.
+        rng = np.random.default_rng(2024)
+        counts = (0, 1, 1023, 4097)
+        seeds = rng.integers(0, 2**63, size=1000, dtype=np.uint64).tolist()
+        for i, seed in enumerate(seeds):
+            seed += (i % 2) << 63
+            stream = (1, 6, 5000, streams.COIN_STREAM)[i // 2 % 4]
+            start = int(rng.integers(0, 10**7 + 1))
+            count = counts[i // 8 % 4]
+            bits = Philox(key=[seed, stream], counter=[start, 0, 0, 0])
+            want = Generator(bits).random(4 * count)[::4]
+            got = streams.uniform_block(seed, stream, start, count)
+            assert got.shape == (count,)
+            assert np.array_equal(got, want), (seed, stream, start, count)
+
+    def test_seeds_at_the_top_share_their_key(self):
+        # numpy's key conversion rounds such seeds through float64; the
+        # kernel keeps that, so seeds 2**10 apart can give the same draws.
+        top = 2**64 - 2**11
+        for seed in (top, top + 1, 2**63 + 1):
+            bits = Philox(key=[seed, 1], counter=[3, 0, 0, 0])
+            want = Generator(bits).random(4 * 8)[::4]
+            assert np.array_equal(streams.uniform_block(seed, 1, 3, 8), want)
+        assert np.array_equal(
+            streams.uniform_block(top, 1, 3, 8), streams.uniform_block(top + 1, 1, 3, 8)
+        )
+
+    def test_stream_sequence_rows_equal_single_streams(self):
+        for seed in (0, 7, 2**63 + 12345):
+            ids = [1, 2, 3, streams.COIN_STREAM, 2]
+            block = streams.uniform_block(seed, ids, 11, 300)
+            assert block.shape == (len(ids), 300)
+            for row, stream in zip(block, ids):
+                assert np.array_equal(row, streams.uniform_block(seed, stream, 11, 300))
+        assert streams.uniform_block(1, range(1, 4), 1, 0).shape == (3, 0)
+        assert streams.uniform_block(1, [], 1, 5).shape == (0, 5)
+
+    def test_pointwise_equals_a_block_of_one(self):
+        rng = np.random.default_rng(99)
+        for i in range(200):
+            seed = int(rng.integers(0, 2**63)) + (i % 2) * 2**63
+            stream = (3, streams.COIN_STREAM)[i % 2]
+            index = int(rng.integers(0, 10**7))
+            want = streams.uniform_block(seed, stream, index, 1)[0]
+            assert streams.uniform_at(seed, stream, index) == want
+
+    def test_counter_bound(self):
+        top = 2**63
+        assert streams.uniform_block(1, 1, top - 2, 2).shape == (2,)
+        assert streams.uniform_block(1, 1, top, 0).shape == (0,)
+        assert 0.0 <= streams.uniform_at(1, 1, top - 1) < 1.0
+        for start, count in ((top - 1, 2), (top, 1), (-1, 1)):
+            with pytest.raises(ValueError):
+                streams.uniform_block(1, 1, start, count)
+        for index in (top, -1):
+            with pytest.raises(ValueError):
+                streams.uniform_at(1, 1, index)
+
     def test_uniform_moments(self):
         block = streams.uniform_block(0, 0, 0, 10_000)
         assert abs(block.mean() - 0.5) < 0.02

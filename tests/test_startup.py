@@ -1,6 +1,7 @@
 """Start-up cost: importing banditalloc starts no BLAS thread, a run that
-starts no workers never loads the process pool, and no source file makes
-the BLAS call that would make the one-thread pin cost something."""
+starts no workers never loads the process pool, no run loads numpy.random,
+and no source file makes the BLAS call that would make the one-thread pin
+cost something."""
 
 import ast
 import json
@@ -87,6 +88,55 @@ def test_single_job_run_never_loads_the_process_pool(tmp_path):
     )
     assert fresh_python(code).splitlines()[-1] == "0 False"
     assert (tmp_path / "out" / "aggregate.csv").exists()
+
+
+def test_runs_never_load_numpy_random(tmp_path):
+    # The noise comes from streams' own Philox kernel, so neither the import
+    # nor a dra or cra run pays for numpy.random's extension modules.
+    configs = {
+        "dra": {
+            "mode": "dra",
+            "seed": 7,
+            "problem": {"resources": 2, "budget": 2.0, "levels": 3},
+            "rewards": {"family": "table", "probs": [[0.1, 0.5, 0.6], [0.05, 0.3, 0.9]]},
+            "oracle": {"kind": "greedy", "beta": 0.8},
+            "horizons": [50, 200],
+            "replications": 2,
+        },
+        "cra": {
+            "mode": "cra",
+            "seed": 7,
+            "problem": {"resources": 2, "budget": 1.0},
+            "rewards": {
+                "family": "concave_exp",
+                "success_probs": [0.9, 0.7],
+                "thetas": [0.8, 0.5],
+            },
+            "horizons": [50, 200],
+            "replications": 2,
+            "reference_refinement": 64,
+        },
+    }
+    argvs = []
+    for mode, raw in configs.items():
+        config = tmp_path / f"{mode}.json"
+        config.write_text(json.dumps(raw))
+        argvs.append(
+            ["run", "--config", str(config), "--out", str(tmp_path / mode), "--jobs", "1"]
+        )
+    code = (
+        "import sys\n"
+        "import banditalloc\n"
+        "print('loaded', 'numpy.random' in sys.modules)\n"
+        "from banditalloc.cli import main\n"
+        f"for argv in {argvs!r}:\n"
+        "    code = main(argv)\n"
+        "    print('loaded', code, 'numpy.random' in sys.modules)\n"
+    )
+    loaded = [line for line in fresh_python(code).splitlines() if line.startswith("loaded")]
+    assert loaded == ["loaded False", "loaded 0 False", "loaded 0 False"]
+    for mode in configs:
+        assert (tmp_path / mode / "aggregate.csv").exists()
 
 
 # Calls that numpy hands to BLAS: the @ operator, these functions and
