@@ -146,8 +146,8 @@ def run(
         tables.append(m.success_table(cfg.space))  # raises if the space does not fit
         if s.cfg is not cfg and s.cfg != cfg:
             raise ValueError("solver was built for a different instance")
-    # The clamp keeps every optimistic value in [0, 1], so the lanes'
-    # solvers may skip the finiteness check.
+    # The clamp keeps every optimistic value in [0, 1], so the batched DP
+    # may skip the finiteness check.
     solve = _lane_solver(solvers)
 
     width = len(models)

@@ -82,8 +82,8 @@ def _check_means(means: np.ndarray, cfg: ProblemConfig) -> np.ndarray:
 
 class _SolverBase:
     """Shared result plumbing. Concrete solvers implement _levels, which
-    receives a matrix _check_means has already validated; solve_levels
-    validates the means and calls it, and solve calls solve_levels."""
+    receives a matrix _check_means has already validated, or override
+    solve_levels; solve calls solve_levels, which validates the means."""
 
     def __init__(self, cfg: ProblemConfig, kind: str):
         self.cfg = cfg
@@ -366,12 +366,13 @@ class CoinFlipOracle(_SolverBase):
             i = 0
         return self._coins[i] < self.spec.beta
 
-    def _levels(self, means: np.ndarray) -> np.ndarray:
-        # solve_levels validates the means first, so a call whose means are
-        # rejected spends no coin.
+    def solve_levels(self, means: np.ndarray) -> np.ndarray:
+        # The base solver validates the means on success, _check_means on
+        # failure; a call whose means are rejected spends no coin.
         if self._next_heads():
-            levels = self.base._levels(means)
+            levels = self.base.solve_levels(means)
         else:
+            _check_means(means, self.cfg)
             levels = np.zeros(self.cfg.resources, dtype=np.int64)
         self.calls += 1
         return levels
@@ -382,18 +383,13 @@ def _lane_solver(solvers) -> Callable[[np.ndarray], Sequence[np.ndarray]]:
     allocations solvers[r].solve_levels(means[r]) of its R lanes, which
     may sit in a buffer that its next call overwrites.
 
-    The caller vouches that the means are finite and of the instance's
-    shape, so no lane of this module's solvers validates them. When every
-    lane runs the plain exact DP, one batched backward pass, on the first
-    lane's buffers, serves them all. Any other solvers, coin-wrapped ones
-    included, are called lane by lane: through _levels, or through
-    solve_levels for a solver defined elsewhere."""
+    When every lane runs the plain exact DP, one batched backward pass, on
+    the first lane's buffers, serves them all, and the caller vouches that
+    the means are finite. Any other solvers, coin-wrapped ones included,
+    are called lane by lane."""
     if all(type(s) is ExactDpSolver for s in solvers):
         return solvers[0]._levels_lanes
-    calls = [
-        s._levels if isinstance(s, _SolverBase) else s.solve_levels for s in solvers
-    ]
-    return lambda means: [call(m) for call, m in zip(calls, means)]
+    return lambda means: [s.solve_levels(m) for s, m in zip(solvers, means)]
 
 
 def solve_exact_dp(means: np.ndarray, cfg: ProblemConfig) -> OracleResult:
