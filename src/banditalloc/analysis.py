@@ -350,7 +350,7 @@ class CoverageObserver:
         self.counts_at: dict[int, int] = {}
 
     def __call__(self, t: int, emp_means: np.ndarray, radii: np.ndarray) -> None:
-        if (np.abs(emp_means - self._mu) >= radii).any():
+        if np.count_nonzero(np.abs(emp_means - self._mu) >= radii):
             self.count += 1
         if t in self._marks:
             self.counts_at[t] = self.count

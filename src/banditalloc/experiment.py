@@ -13,7 +13,6 @@ files.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -26,6 +25,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import streams
+from ._digest import sha256_hex
 from .analysis import (
     REFERENCE_MEMORY_CEILING,
     BoundParams,
@@ -173,7 +173,7 @@ class ExperimentConfig:
         for key in ("out", "jobs", "write_traces"):
             science.pop(key, None)
         canon = json.dumps(science, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canon.encode()).hexdigest()
+        return sha256_hex(canon.encode())
 
 
 def _at_defaults(obj, *names: str):
@@ -485,8 +485,9 @@ def _bandit_task(payload: tuple) -> list[tuple[np.ndarray, list[int]]]:
     depend on the horizon, so the run of horizon h is the first h rounds of
     this one. Each horizon's trace file holds that prefix, and its
     violation count covers rounds 1..h. Without trace files no run keeps
-    its (T, K) levels and rewards."""
-    config, cfg, horizons, block, out = payload
+    its (T, K) levels and rewards. ``config_hash`` is the config's, computed
+    once by the parent for every trace file."""
+    config, config_hash, cfg, horizons, block, out = payload
     seeds = [streams.mix_seed(config.seed, rep) for rep in block]
     models = [build_model(config, rng_seed) for rng_seed in seeds]
     solvers = [build_solver(config.oracle, cfg, seed=rng_seed) for rng_seed in seeds]
@@ -500,7 +501,7 @@ def _bandit_task(payload: tuple) -> list[tuple[np.ndarray, list[int]]]:
         for rep, rng_seed, trace in zip(block, seeds, traces):
             for horizon in horizons:
                 meta = {
-                    "config_hash": config.config_hash(),
+                    "config_hash": config_hash,
                     "mode": config.mode,
                     "horizon": horizon,
                     "replication": rep,
@@ -628,7 +629,7 @@ def _instances(config: ExperimentConfig, model: RewardModel) -> Iterator[tuple]:
 
 
 def _replications(
-    config: ExperimentConfig, model: RewardModel, out_dir: Path
+    config: ExperimentConfig, config_hash: str, model: RewardModel, out_dir: Path
 ) -> Iterator[tuple]:
     """(horizon, instance, gaps, grid pitch, finals, violation counts,
     curve sums) for each horizon in order, over the groups of _instances.
@@ -646,7 +647,7 @@ def _replications(
     workers = _workers(config.jobs, reps)
     cuts = [reps * i // workers for i in range(workers + 1)]
     payloads = [
-        (config, cfg, horizons, range(lo, hi), str(out_dir))
+        (config, config_hash, cfg, horizons, range(lo, hi), str(out_dir))
         for horizons, cfg, *_ in groups
         for lo, hi in zip(cuts, cuts[1:])
     ]
@@ -675,13 +676,14 @@ def _replications(
 
 def _run_bandit_modes(config: ExperimentConfig, out_dir: Path) -> ExperimentSummary:
     summary = ExperimentSummary()
+    config_hash = config.config_hash()
     model0 = build_model(config, rng_seed=0)  # means only; the seed is unused
     if config.write_traces:
         (out_dir / "traces").mkdir(parents=True, exist_ok=True)
 
     reps = config.replications
     for horizon, cfg, gaps, epsilon, finals, coverage, cum_sum, cum_sq in _replications(
-        config, model0, out_dir
+        config, config_hash, model0, out_dir
     ):
         finals_arr = np.asarray(finals)
         curve_mean = cum_sum / reps
@@ -709,7 +711,7 @@ def _run_bandit_modes(config: ExperimentConfig, out_dir: Path) -> ExperimentSumm
             ("round", "mean_cum_regret", "std_cum_regret"),
             _round_rows(curve_mean, curve_std),
             {
-                "config_hash": config.config_hash(),
+                "config_hash": config_hash,
                 "mode": config.mode,
                 "horizon": horizon,
                 "replications": reps,
@@ -726,7 +728,7 @@ def _run_bandit_modes(config: ExperimentConfig, out_dir: Path) -> ExperimentSumm
         aggregate_path,
         AGGREGATE_COLUMNS,
         summary.rows,
-        {"config_hash": config.config_hash(), "mode": config.mode, "seed": config.seed},
+        {"config_hash": config_hash, "mode": config.mode, "seed": config.seed},
     )
     summary.files.append(aggregate_path)
     return summary

@@ -32,10 +32,11 @@ numpy dispatches to.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Sequence
 
 import numpy as np
+
+from ._digest import blake2b_8
 
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
@@ -143,13 +144,11 @@ def uniform_block(
 def mix_seed(base_seed: int, index: int) -> int:
     """Derive a 64-bit seed for a numbered replication.
 
-    XORs the base seed with a short blake2b digest of the index, so adding
+    XORs the base seed with the 8-byte blake2b digest of the index, so adding
     replications never perturbs the streams of existing ones. The noise key
     keeps only the top 53 bits of a seed at or above 2**63 (see the module
     docstring), so such seeds that differ only in their low bits share their
     noise.
     """
-    digest = hashlib.blake2b(
-        int(index).to_bytes(8, "little", signed=False), digest_size=8
-    ).digest()
+    digest = blake2b_8(int(index).to_bytes(8, "little", signed=False))
     return (int(base_seed) ^ int.from_bytes(digest, "little")) & _MASK64

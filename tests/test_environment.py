@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -108,6 +110,19 @@ class TestStreams:
         assert all(0 <= s < 2**64 for s in seeds)
         # adding replications never changes earlier ones
         assert streams.mix_seed(42, 3) == streams.mix_seed(42, 3)
+
+    def test_mix_seed_is_the_blake2b_formula(self):
+        # The seed every recorded output was made with, written out with the
+        # standard library's BLAKE2b.
+        def reference(base, index):
+            digest = hashlib.blake2b(index.to_bytes(8, "little"), digest_size=8)
+            return (base ^ int.from_bytes(digest.digest(), "little")) % 2**64
+
+        rng = random.Random(19)
+        indices = list(range(10_001)) + [rng.getrandbits(64) for _ in range(1000)]
+        for index in indices:
+            base = rng.getrandbits(64)
+            assert streams.mix_seed(base, index) == reference(base, index), index
 
 
 class TestTableFamily:

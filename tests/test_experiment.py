@@ -3,6 +3,7 @@
 import concurrent.futures
 import copy
 import csv
+import hashlib
 import io
 import json
 import math
@@ -431,6 +432,36 @@ class TestConfigHash:
         # The hash is stamped into every output file, so the dict form it is
         # taken over, defaults included, must not drift.
         assert ExperimentConfig.from_dict(raw).config_hash() == digest
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            dra_dict(),
+            cra_dict(),
+            dra_dict(mode="bounds"),
+            {
+                "mode": "oracle-check",
+                "seed": 0,
+                "problem": {"resources": 1, "budget": 1.0, "levels": 2},
+                "rewards": {"family": "table", "probs": [[0.5, 0.5]]},
+                "replications": 200,
+            },
+        ],
+        ids=["dra", "cra", "bounds", "oracle-check"],
+    )
+    def test_is_the_sha256_of_the_canonical_json(self, raw, monkeypatch):
+        hashed = []
+
+        def recording_sha256_hex(data):
+            hashed.append(data)
+            return real_sha256_hex(data)
+
+        real_sha256_hex = experiment.sha256_hex
+        monkeypatch.setattr(experiment, "sha256_hex", recording_sha256_hex)
+        digest = ExperimentConfig.from_dict(raw).config_hash()
+        [canon] = hashed
+        assert json.loads(canon)["mode"] == raw["mode"]
+        assert digest == hashlib.sha256(canon).hexdigest()
 
     def test_stable_across_parses(self):
         one = ExperimentConfig.from_dict(dra_dict()).config_hash()

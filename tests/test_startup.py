@@ -1,7 +1,7 @@
 """Start-up cost: importing banditalloc starts no BLAS thread, a run that
-starts no workers never loads the process pool, no run loads numpy.random,
-and no source file makes the BLAS call that would make the one-thread pin
-cost something."""
+starts no workers never loads the process pool, no run loads numpy.random
+or OpenSSL, no source file makes the BLAS call that would make the
+one-thread pin cost something, and none imports hashlib."""
 
 import ast
 import json
@@ -90,9 +90,15 @@ def test_single_job_run_never_loads_the_process_pool(tmp_path):
     assert (tmp_path / "out" / "aggregate.csv").exists()
 
 
+# Modules no run loads: the noise comes from streams' own Philox kernel, so
+# no run pays for numpy.random's extension modules, and seeds and config
+# hashes come from _digest, so none loads OpenSSL's libcrypto.
+UNLOADED = ("numpy.random", "hashlib", "_hashlib")
+
+
 def test_runs_never_load_numpy_random(tmp_path):
-    # The noise comes from streams' own Philox kernel, so neither the import
-    # nor a dra or cra run pays for numpy.random's extension modules.
+    # Checked after the import, after dra runs with one worker and with a
+    # process pool, and after a cra run.
     configs = {
         "dra": {
             "mode": "dra",
@@ -117,26 +123,28 @@ def test_runs_never_load_numpy_random(tmp_path):
             "reference_refinement": 64,
         },
     }
-    argvs = []
+    runs = [("dra", 1), ("dra", 2), ("cra", 1)]
     for mode, raw in configs.items():
-        config = tmp_path / f"{mode}.json"
-        config.write_text(json.dumps(raw))
-        argvs.append(
-            ["run", "--config", str(config), "--out", str(tmp_path / mode), "--jobs", "1"]
-        )
+        (tmp_path / f"{mode}.json").write_text(json.dumps(raw))
+    argvs = [
+        ["run", "--config", str(tmp_path / f"{mode}.json"),
+         "--out", str(tmp_path / f"{mode}-{jobs}"), "--jobs", str(jobs)]
+        for mode, jobs in runs
+    ]
     code = (
         "import sys\n"
+        f"unloaded = {UNLOADED!r}\n"
         "import banditalloc\n"
-        "print('loaded', 'numpy.random' in sys.modules)\n"
+        "print('loaded', [m for m in unloaded if m in sys.modules])\n"
         "from banditalloc.cli import main\n"
         f"for argv in {argvs!r}:\n"
         "    code = main(argv)\n"
-        "    print('loaded', code, 'numpy.random' in sys.modules)\n"
+        "    print('loaded', code, [m for m in unloaded if m in sys.modules])\n"
     )
     loaded = [line for line in fresh_python(code).splitlines() if line.startswith("loaded")]
-    assert loaded == ["loaded False", "loaded 0 False", "loaded 0 False"]
-    for mode in configs:
-        assert (tmp_path / mode / "aggregate.csv").exists()
+    assert loaded == ["loaded []"] + ["loaded 0 []"] * len(runs)
+    for mode, jobs in runs:
+        assert (tmp_path / f"{mode}-{jobs}" / "aggregate.csv").exists()
 
 
 # Calls that numpy hands to BLAS: the @ operator, these functions and
@@ -196,5 +204,46 @@ def test_no_source_file_calls_blas():
         path.name: uses
         for path in sources
         if (uses := blas_uses(path.read_text()))
+    }
+    assert found == {}
+
+
+def hashlib_imports(source):
+    """Lines of ``source`` that import hashlib or anything under it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] in ("hashlib", "_hashlib") for name in names):
+            found.append(node.lineno)
+    return found
+
+
+def test_hashlib_check_catches_each_form():
+    samples = [
+        "import hashlib",
+        "import os, hashlib as h",
+        "from hashlib import sha256",
+        "import _hashlib",
+        "def f():\n    import hashlib",
+    ]
+    for sample in samples:
+        assert hashlib_imports(sample), sample
+    assert hashlib_imports("import numpy\nfrom ._digest import sha256_hex") == []
+
+
+def test_no_source_file_imports_hashlib():
+    # Importing hashlib loads OpenSSL's libcrypto (~3.6 MB resident); even a
+    # lazy import would, since every run hashes its seeds and config.
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    found = {
+        path.name: lines
+        for path in sources
+        if (lines := hashlib_imports(path.read_text()))
     }
     assert found == {}
