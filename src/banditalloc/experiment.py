@@ -16,11 +16,11 @@ from __future__ import annotations
 import json
 import math
 import os
-from contextlib import closing, contextmanager
+from contextlib import ExitStack, closing, contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from itertools import chain, count
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .analysis import (
 from .continuous import DEFAULT_MAX_LEVELS, plan_discretization
 from .core import ActionSpace, ProblemConfig, iter_feasible_levels
 from .environment import RewardModel
-from .learner import RunTrace, run
+from .learner import Sink, run
 from .oracle import ExactDpSolver, GreedySolver, OracleSpec, allocation_value, build_solver
 
 MODES = ("dra", "cra", "oracle-check", "bounds")
@@ -427,51 +427,76 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _write_csv(path: Path, header: Iterable[str], rows, meta: dict) -> None:
-    """Write ``rows``, an iterable of rows of numbers or None, as lines of
-    comma-joined _fmt cells. The cells never hold a comma or quote, so no
-    field needs quoting. The file is written beside ``path`` under a
-    temporary name and moved into place once complete, so a failed or
-    interrupted write never leaves a truncated file under the real name."""
+@contextmanager
+def _csv_file(path: Path, header: Iterable[str], meta: dict) -> Iterator[Callable]:
+    """Yield append(rows), which adds ``rows``, an iterable of rows of
+    numbers or None, as lines of comma-joined _fmt cells; no cell holds a
+    comma or quote, so none needs quoting. The file is written beside
+    ``path`` under a temporary name, opened only for the header and each
+    append, and moved into place when the block completes or removed if it
+    raises, so no failed write leaves a truncated file under the real name."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+
+    def append(rows: Iterable) -> None:
+        with open(tmp, "a", newline="") as fh:
+            fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
+
     try:
         with open(tmp, "w", newline="") as fh:
-            for key, value in meta.items():
-                fh.write(f"# {key}={value}\n")
+            fh.writelines(f"# {key}={value}\n" for key, value in meta.items())
             fh.write(",".join(header) + "\n")
-            fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
+        yield append
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
-def _round_rows(*columns: np.ndarray) -> Iterator[tuple]:
-    """Rows (t + 1, columns[0][t], columns[1][t], ...) for every index t of
-    the equal-length columns, as Python numbers. Each column goes through
+def _write_csv(path: Path, header: Iterable[str], rows, meta: dict) -> None:
+    """Write ``rows`` to ``path`` in one append of a _csv_file."""
+    with _csv_file(path, header, meta) as append:
+        append(rows)
+
+
+def _round_rows(*columns: np.ndarray, first: int = 1) -> Iterator[tuple]:
+    """Rows (first + t, columns[0][t], columns[1][t], ...) for every index t
+    of the equal-length columns, as Python numbers. Each column goes through
     tolist() one slice of _CSV_CHUNK_ROWS rows at a time, which is cheaper
     than indexing numpy scalars and never converts a whole column at once."""
     for lo in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
         parts = [column[lo:lo + _CSV_CHUNK_ROWS].tolist() for column in columns]
-        yield from zip(count(lo + 1), *parts)
-
-
-def _write_trace_csv(path: Path, trace: RunTrace, rounds: int, meta: dict) -> None:
-    """Write the first ``rounds`` rounds of ``trace``."""
-    resources = trace.levels.shape[1]
-    header = (
-        ["round"]
-        + [f"level_{k}" for k in range(1, resources + 1)]
-        + [f"reward_{k}" for k in range(1, resources + 1)]
-        + ["expected_total"]
-    )
-    rows = _round_rows(
-        *trace.levels[:rounds].T, *trace.rewards[:rounds].T, trace.expected[:rounds]
-    )
-    _write_csv(path, header, rows, meta)
+        yield from zip(count(first + lo), *parts)
 
 
 # -- replication workers ------------------------------------------------------
+
+
+def _trace_sink(files: ExitStack, payload: tuple, rep: int, rng_seed: int) -> Sink:
+    """A run sink for replication ``rep`` of a _bandit_task payload. It
+    enters one _csv_file per horizon on ``files`` and appends each chunk's
+    rows to the file of every horizon the chunk reaches, up to that
+    horizon."""
+    config, config_hash, cfg, horizons, _, out = payload
+    ids = range(1, cfg.resources + 1)
+    header = ["round", *(f"level_{k}" for k in ids), *(f"reward_{k}" for k in ids)]
+    header.append("expected_total")
+    space = cfg.space
+    grid = {"epsilon": repr(space.pitch), "N": space.n} if space.is_grid else {}
+    appends = []
+    for horizon in horizons:
+        meta = {"config_hash": config_hash, "mode": config.mode, "horizon": horizon,
+                "replication": rep, "rng_seed": rng_seed, **grid}
+        path = Path(out) / "traces" / f"trace_{config.mode}_T{horizon}_rep{rep}.csv"
+        appends.append(files.enter_context(_csv_file(path, header, meta)))
+
+    def sink(start, levels, rewards, expected) -> None:
+        for horizon, append in zip(horizons, appends):
+            if horizon >= start:
+                rows = slice(horizon - start + 1)
+                columns = (*levels[rows].T, *rewards[rows].T, expected[rows])
+                append(_round_rows(*columns, first=start))
+
+    return sink
 
 
 def _bandit_task(payload: tuple) -> list[tuple[np.ndarray, list[int]]]:
@@ -484,34 +509,20 @@ def _bandit_task(payload: tuple) -> list[tuple[np.ndarray, list[int]]]:
     The learner is anytime: round t's radius, noise and coin flips do not
     depend on the horizon, so the run of horizon h is the first h rounds of
     this one. Each horizon's trace file holds that prefix, and its
-    violation count covers rounds 1..h. Without trace files no run keeps
-    its (T, K) levels and rewards. ``config_hash`` is the config's, computed
-    once by the parent for every trace file."""
+    violation count covers rounds 1..h. The trace files take each chunk of
+    rounds from a sink, and are moved into place when the run returns.
+    ``config_hash`` is the config's, computed once by the parent."""
     config, config_hash, cfg, horizons, block, out = payload
     seeds = [streams.mix_seed(config.seed, rep) for rep in block]
     models = [build_model(config, rng_seed) for rng_seed in seeds]
     solvers = [build_solver(config.oracle, cfg, seed=rng_seed) for rng_seed in seeds]
     means = models[0].mean_matrix(cfg.space)
     observers = [CoverageObserver(means, horizons) for _ in block]
-    traces = run(
-        models, solvers, cfg, horizons[-1],
-        observer=observers, record_history=config.write_traces,
-    )
-    if config.write_traces:
-        for rep, rng_seed, trace in zip(block, seeds, traces):
-            for horizon in horizons:
-                meta = {
-                    "config_hash": config_hash,
-                    "mode": config.mode,
-                    "horizon": horizon,
-                    "replication": rep,
-                    "rng_seed": rng_seed,
-                }
-                if cfg.space.is_grid:
-                    meta["epsilon"] = repr(cfg.space.pitch)
-                    meta["N"] = cfg.space.n
-                name = f"trace_{config.mode}_T{horizon}_rep{rep}.csv"
-                _write_trace_csv(Path(out) / "traces" / name, trace, horizon, meta)
+    with ExitStack() as files:
+        sinks = None
+        if config.write_traces:
+            sinks = [_trace_sink(files, payload, *lane) for lane in zip(block, seeds)]
+        traces = run(models, solvers, cfg, horizons[-1], observer=observers, sink=sinks)
     return [
         (trace.expected, [observer.counts_at[h] for h in horizons])
         for trace, observer in zip(traces, observers)

@@ -28,9 +28,9 @@ fold, the observers and the coin flips stay per lane, in the one-lane
 order, so every lane's trace equals the trace of that lane run alone. A
 one-lane run is the same loop with R = 1.
 
-A trace keeps the played levels, the rewards, the expected values and the
-end-of-run statistics. The per-round empirical means and radii leave run
-only through its observer, which may keep whatever it needs of them.
+A trace keeps the expected values and the end-of-run statistics; run keeps
+no history. The per-round means and radii leave it only through its observer,
+and the played levels and rewards only through its sink, once per chunk.
 """
 
 from __future__ import annotations
@@ -45,11 +45,13 @@ from .environment import RewardModel
 from .oracle import _lane_solver, _SolverBase, allocation_value
 
 # Rounds per chunk in run(): one batch of log evaluations, one block of
-# drawn noise, one buffer of levels and one fold of expected values.
+# drawn noise, one buffer of levels and one sink call.
 _CHUNK = 1024
 
 # observer(t, emp_means, radii), called at the start of round t.
 Observer = Callable[[int, np.ndarray, np.ndarray], None]
+# sink(start, levels, rewards, expected), called after each chunk of rounds.
+Sink = Callable[[int, np.ndarray, np.ndarray, np.ndarray], None]
 
 
 @dataclass
@@ -74,10 +76,8 @@ def _fold(counts, emp_means, levels, rewards) -> None:
 
 @dataclass
 class RunTrace:
-    """Round-by-round record of one learning run."""
+    """Per-round expected values and end-of-run statistics of one run."""
 
-    levels: np.ndarray | None  # (T, K) chosen level indices, None unless recorded
-    rewards: np.ndarray | None  # (T, K) observed per-resource rewards, likewise
     expected: np.ndarray  # (T,) true expected total reward of the played allocation
     config: ProblemConfig
     stats: ArmStats  # end-of-run counts and empirical means
@@ -92,7 +92,7 @@ def run(
     cfg: ProblemConfig,
     horizon: int,
     observer: Observer | Sequence[Observer | None] | None = None,
-    record_history: bool = True,
+    sink: Sink | Sequence[Sink | None] | None = None,
 ) -> RunTrace | list[RunTrace]:
     """Run the learner for ``horizon`` rounds against a reward model.
 
@@ -115,15 +115,19 @@ def run(
         them, and copy what they keep. This is the one way to see the
         per-round statistics, and the hook for diagnostics that need the
         true means, which the learner itself never sees.
-    record_history:
-        Keep the (T, K) levels and rewards on the trace. Without them a
-        trace holds its (T,) expected values and end-of-run statistics
-        only, and ``levels`` and ``rewards`` are None.
+    sink:
+        Optional callback sink(start, levels, rewards, expected) invoked
+        after each chunk of up to 1024 rounds from round ``start`` on, with
+        its (rounds, K) level indices and rewards and (rounds,) expected
+        values; with lanes, a sequence of R such callbacks (or None
+        entries). The arrays are views, the levels and rewards of buffers
+        the next chunk reuses; sinks must not mutate them, and copy what
+        they keep. This is the one way to see the played levels and rewards.
 
     Returns
     -------
     RunTrace, or a list of them with lanes
-        Per-round allocations, rewards and true expected values. The
+        Per-round true expected values and end-of-run statistics. The
         expected-value channel is computed from the model's closed-form
         means purely for analysis; no decision depends on it.
     """
@@ -131,10 +135,11 @@ def run(
     if lanes:
         models, solvers = list(model), list(solver)
         observers = [None] * len(models) if observer is None else list(observer)
+        sinks = [None] * len(models) if sink is None else list(sink)
     else:
-        models, solvers, observers = [model], [solver], [observer]
-    if not models or len(solvers) != len(models) or len(observers) != len(models):
-        raise ValueError("lanes need one model, one solver and one observer slot each")
+        models, solvers, observers, sinks = [model], [solver], [observer], [sink]
+    if not models or not len(solvers) == len(observers) == len(sinks) == len(models):
+        raise ValueError("lanes need one model, solver, observer and sink slot each")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     tables = []
@@ -150,10 +155,9 @@ def run(
     # may skip the finiteness check.
     solve = _lane_solver(solvers)
 
-    width = len(models)
     resources = cfg.resources
     resource_ids = range(1, resources + 1)
-    shape = (width, resources, cfg.space.n)
+    shape = (len(models), resources, cfg.space.n)
 
     # Every lane's statistics are one (K, n) slice of a (R, K, n) block, so
     # the radii and the clamp are computed for all lanes at once. The counts
@@ -168,36 +172,29 @@ def run(
 
     means = [m.mean_matrix(cfg.space) for m in models]
     expected = [np.empty(horizon) for _ in models]
-    # The levels of a chunk of rounds go to the history when it is kept,
-    # and otherwise to a buffer of one chunk per lane, which is all the
-    # expected values need.
-    if record_history:
-        level_hist = [np.empty((horizon, resources), dtype=np.int64) for _ in models]
-        reward_hist = [np.empty((horizon, resources)) for _ in models]
-    else:
-        level_hist = reward_hist = [None] * width
-        chunk_levels = [np.empty((_CHUNK, resources), dtype=np.int64) for _ in models]
+    # Each chunk's levels are played into one buffer per lane, which is all
+    # the expected values need; its rewards are kept only for a sink.
+    rows = (_CHUNK, resources)
+    chunk_levels = [np.empty(rows, dtype=np.int64) for _ in models]
+    chunk_rewards = [None if s is None else np.empty(rows) for s in sinks]
     watched = [
         (o, e, r) for o, e, r in zip(observers, emp_means, radii) if o is not None
     ]
 
     for start in range(1, horizon + 1, _CHUNK):
         stop = min(start + _CHUNK, horizon + 1)
+        rounds = stop - start
         chunk = slice(start - 1, stop - 1)
         half_logs = (1.5 * np.log(np.arange(start, stop, dtype=np.float64))).tolist()
         if start == 1:
             # Every arm is untried in round 1, where ln 1 = 0 would give 0 / 0.
             half_logs[0] = np.inf
-        if record_history:
-            played = [history[chunk] for history in level_hist]
-        else:
-            played = [buffer[: stop - start] for buffer in chunk_levels]
         # Philox addressing gives a round the same uniforms in any block;
         # row i of a lane's (rounds, K) uniforms belongs to round start + i.
         block = [
-            (m, table, m.uniform_block(resource_ids, start, stop - start).T, *lane)
+            (m, table, m.uniform_block(resource_ids, start, rounds).T, *lane)
             for m, table, *lane in zip(
-                models, tables, counts, emp_means, played, reward_hist
+                models, tables, counts, emp_means, chunk_levels, chunk_rewards
             )
         ]
         for t, half_log in zip(range(start, stop), half_logs):
@@ -209,7 +206,7 @@ def run(
             np.add(emp_means, radii, out=upper)
             chosen = solve(np.minimum(upper, 1.0, out=upper))
             for lane, levels in zip(block, chosen):
-                m, table, uniforms, lane_counts, lane_emp, lane_played, seen = lane
+                m, table, uniforms, lane_counts, lane_emp, played, seen = lane
                 rewards = m.rewards_from_uniforms(table, levels, uniforms[t - start])
                 for reward in rewards:
                     # Written so that NaN fails too.
@@ -217,27 +214,20 @@ def run(
                         raise AssertionError(
                             "environment produced a reward outside [0, 1]"
                         )
-                lane_played[t - start] = levels
-                if record_history:
-                    seen[t - 1] = rewards
+                played[t - start] = levels
+                if seen is not None:
+                    seen[t - start] = rewards
                 _fold(lane_counts, lane_emp, levels.tolist(), rewards)
         # allocation_value folds each round's levels from the last resource
         # back, the same doubles whatever the chunking.
-        for exp, lane_means, lane_played in zip(expected, means, played):
-            exp[chunk] = allocation_value(lane_means, lane_played)
+        for lane in zip(expected, means, chunk_levels, chunk_rewards, sinks):
+            exp, lane_means, played, seen, lane_sink = lane
+            exp[chunk] = allocation_value(lane_means, played[:rounds])
+            if lane_sink is not None:
+                lane_sink(start, played[:rounds], seen[:rounds], exp[chunk])
 
     traces = [
-        RunTrace(
-            levels=levels,
-            rewards=rewards,
-            expected=exp,
-            config=cfg,
-            stats=ArmStats(
-                counts=lane_counts.astype(np.int64), emp_means=lane_emp.copy()
-            ),
-        )
-        for levels, rewards, exp, lane_counts, lane_emp in zip(
-            level_hist, reward_hist, expected, counts, emp_means
-        )
+        RunTrace(exp, cfg, ArmStats(lane_counts.astype(np.int64), lane_emp.copy()))
+        for exp, lane_counts, lane_emp in zip(expected, counts, emp_means)
     ]
     return traces if lanes else traces[0]

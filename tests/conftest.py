@@ -1,0 +1,22 @@
+"""Shared test helpers."""
+
+import numpy as np
+
+
+class History:
+    """A run sink that keeps a copy of every chunk it is shown, and gives
+    them back as the (T, K) played levels and rewards of the run."""
+
+    def __init__(self):
+        self.chunks = []  # (start, levels, rewards, expected), copied
+
+    def __call__(self, start, levels, rewards, expected):
+        self.chunks.append((start, levels.copy(), rewards.copy(), expected.copy()))
+
+    @property
+    def levels(self):
+        return np.concatenate([levels for _, levels, _, _ in self.chunks])
+
+    @property
+    def rewards(self):
+        return np.concatenate([rewards for _, _, rewards, _ in self.chunks])

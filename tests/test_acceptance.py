@@ -25,6 +25,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import History
 
 from banditalloc import (
     ActionSpace,
@@ -105,9 +106,7 @@ def mean_regret_curve() -> np.ndarray:
         RewardModel.table(REFERENCE_PROBS, rng_seed=mix_seed(NOISE_SEED, rep))
         for rep in range(REPLICATIONS)
     ]
-    traces = run(
-        models, [solver] * REPLICATIONS, cfg, CHECKPOINTS[-1], record_history=False
-    )
+    traces = run(models, [solver] * REPLICATIONS, cfg, CHECKPOINTS[-1])
     for rep, (model, trace) in enumerate(zip(models, traces)):
         if rep == 0:
             short = run(model, solver, cfg, 1_000)
@@ -162,17 +161,18 @@ def test_long_run_bookkeeping_invariants_hold():
             if not np.all(np.minimum(1.0, emp_means + radii) >= emp_means):
                 pessimistic.append(t)
 
-        trace = run(model, solver, instance, horizon, observer=observe)
+        history = History()
+        trace = run(model, solver, instance, horizon, observer=observe, sink=history)
         assert pessimistic == []
         space = trace.config.space
         counts = trace.stats.counts
         # every round pulls exactly one arm per resource
         assert counts.sum(axis=1).tolist() == [horizon] * trace.config.resources
         for k in range(trace.config.resources):
-            recounted = np.bincount(trace.levels[:, k], minlength=space.n)
+            recounted = np.bincount(history.levels[:, k], minlength=space.n)
             assert np.array_equal(recounted, counts[k])
-        assert np.all((trace.rewards >= 0.0) & (trace.rewards <= 1.0))
-        spent = space.level_values[trace.levels].sum(axis=1)
+        assert np.all((history.rewards >= 0.0) & (history.rewards <= 1.0))
+        spent = space.level_values[history.levels].sum(axis=1)
         assert np.all(spent <= trace.config.budget + 1e-9)
 
 
@@ -293,10 +293,7 @@ def test_confidence_intervals_rarely_miss_the_truth():
         RewardModel.table(REFERENCE_PROBS, rng_seed=mix_seed(NOISE_SEED, rep))
         for rep in range(REPLICATIONS)
     ]
-    run(
-        models, [solver] * REPLICATIONS, cfg, 10_000,
-        observer=observers, record_history=False,
-    )
+    run(models, [solver] * REPLICATIONS, cfg, 10_000, observer=observers)
     counts = [observer.count for observer in observers]
     allowance = 3.0 * (math.pi**2 / 3.0) * cfg.arm_count
     assert float(np.mean(counts)) <= allowance, f"violation counts {counts}"

@@ -36,8 +36,6 @@ def native_cfg(resources=2, budget=2.0, n=3):
 def stub_trace(expected, cfg):
     horizon = len(expected)
     return RunTrace(
-        levels=np.zeros((horizon, cfg.resources), dtype=np.int64),
-        rewards=np.zeros((horizon, cfg.resources)),
         expected=np.asarray(expected, dtype=np.float64),
         config=cfg,
         stats=ArmStats(

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from conftest import History
 
+import banditalloc.continuous
 from banditalloc import (
     OracleSpec,
     ProblemConfig,
@@ -88,14 +90,29 @@ class TestPlanDiscretization:
             plan_discretization(1.0, 1.0, 1.0, 1, 10, max_levels=1)
 
 
+def with_history(monkeypatch):
+    """Attach a History sink to the run that run_discretized makes."""
+    history = History()
+
+    def run_with_sink(*args):
+        return run(*args, sink=history)
+
+    monkeypatch.setattr(banditalloc.continuous, "run", run_with_sink)
+    return history
+
+
 class TestRunDiscretized:
-    def test_delegates_exactly_to_the_discrete_learner(self):
+    def test_delegates_exactly_to_the_discrete_learner(self, monkeypatch):
         model = RewardModel.concave_exp([0.9, 0.7], [0.8, 0.5], rng_seed=21)
+        seen = with_history(monkeypatch)
         trace, plan = run_discretized(model, OracleSpec(), budget=1.0, horizon=300)
         cfg = ProblemConfig(resources=2, budget=1.0, space=plan.grid)
-        direct = run(model, build_solver(OracleSpec(), cfg, seed=0), cfg, 300)
-        assert np.array_equal(trace.levels, direct.levels)
-        assert np.array_equal(trace.rewards, direct.rewards)
+        direct_seen = History()
+        direct = run(
+            model, build_solver(OracleSpec(), cfg, seed=0), cfg, 300, sink=direct_seen
+        )
+        assert np.array_equal(seen.levels, direct_seen.levels)
+        assert np.array_equal(seen.rewards, direct_seen.rewards)
         assert np.array_equal(trace.expected, direct.expected)
 
     def test_trace_plays_the_planned_grid(self):
@@ -110,9 +127,10 @@ class TestRunDiscretized:
         plan_smooth = plan_discretization(1.0, 1.0, 0.5, 1, 100)
         assert plan_smooth.levels < plan_default.levels  # smoother: coarser grid
 
-    def test_single_resource_converges_to_full_budget(self):
+    def test_single_resource_converges_to_full_budget(self, monkeypatch):
         # deterministic concave returns: the best grid point is the budget
         model = RewardModel.concave_exp([1.0], [1.0], rng_seed=7)
+        seen = with_history(monkeypatch)
         trace, plan = run_discretized(model, OracleSpec(), budget=1.0, horizon=2000)
         cfg = ProblemConfig(resources=1, budget=1.0, space=plan.grid)
         opt = compute_opt(model, cfg)
@@ -120,7 +138,7 @@ class TestRunDiscretized:
         # near-optimal grid levels have tiny gaps and stay under exploration
         # for a long time, so ask for concentration, not a point mass
         assert tail.mean() >= 0.9 * opt
-        assert np.mean(trace.levels[-400:, 0] >= plan.levels - 2) > 0.75
+        assert np.mean(seen.levels[-400:, 0] >= plan.levels - 2) > 0.75
 
     def test_rejects_table_models(self):
         model = RewardModel.table([[0.5, 0.5]], rng_seed=0)

@@ -7,7 +7,13 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
+from itertools import count
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +21,7 @@ import pytest
 from banditalloc import (
     ConfigurationError,
     ExperimentConfig,
+    RewardModel,
     experiment,
     run_experiment,
     streams,
@@ -700,12 +707,12 @@ class TestWorkIsShared:
     def recorded_calls(monkeypatch, raw):
         """(horizon, replications) of each learner call: a call steps a
         block of replications in lockstep, one model per replication.
-        Without trace files no call keeps the (T, K) histories."""
+        Without trace files no call is given a sink."""
         calls = []
         original = experiment.run
 
         def recording_run(models, solvers, cfg, horizon, **kwargs):
-            assert kwargs["record_history"] is False
+            assert kwargs["sink"] is None
             seeds = [model.rng_seed for model in models]
             reps = [streams.mix_seed(raw["seed"], rep) for rep in range(raw["replications"])]
             calls.append((horizon, [reps.index(seed) for seed in seeds]))
@@ -775,6 +782,84 @@ class TestAtomicCsv:
             _write_csv(path, ("a", "b"), self.rows_then_crash(), {"k": "w"})
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
+
+
+def _file_bytes(out):
+    """Every file under ``out``, by relative path, as bytes."""
+    files = (p for p in out.rglob("*") if p.is_file())
+    return {str(p.relative_to(out)): p.read_bytes() for p in files}
+
+
+class TestStreamedTraces:
+    """Trace files are appended chunk by chunk under temporary names, with no
+    file held open between appends, and moved into place only when the run
+    completes."""
+
+    def test_failed_run_leaves_no_trace_files(self, tmp_path, monkeypatch):
+        raw = dra_dict(replications=2, horizons=[1000, 2000], write_traces=True)
+        run_experiment(ExperimentConfig.from_dict({**raw, "out": str(tmp_path)}))
+        before = _file_bytes(tmp_path / "traces")
+        assert len(before) == 4
+        # The two lanes transform their rewards in turn, so the call that
+        # raises is lane 0's in round 1500: the run's second chunk, after the
+        # first has reached every trace file.
+        transform = RewardModel.rewards_from_uniforms
+
+        def failing(self, table, levels, u):
+            if next(calls) > 2 * 1499:
+                raise RuntimeError("interrupted")
+            return transform(self, table, levels, u)
+
+        monkeypatch.setattr(RewardModel, "rewards_from_uniforms", failing)
+        for out, kept in ((tmp_path / "fresh", {}), (tmp_path, before)):
+            calls = count(1)
+            config = ExperimentConfig.from_dict({**raw, "seed": 8, "out": str(out)})
+            with pytest.raises(RuntimeError, match="interrupted"):
+                run_experiment(config)
+            # No trace file, no temporary file, and the earlier run's bytes.
+            assert _file_bytes(out / "traces") == kept
+
+    def test_no_file_is_held_open_between_chunks(self, tmp_path):
+        pytest.importorskip("resource")
+        # 20 replications x 3 horizons write 60 trace files, past the 48
+        # descriptors the child may hold, over two chunks of rounds.
+        raw = dra_dict(replications=20, horizons=[500, 1100, 1500], write_traces=True)
+        free, limited = tmp_path / "free", tmp_path / "limited"
+        run_experiment(ExperimentConfig.from_dict({**raw, "out": str(free)}))
+        code = (
+            "import json, resource, sys\n"
+            "from banditalloc import ExperimentConfig, run_experiment\n"
+            "_, hard = resource.getrlimit(resource.RLIMIT_NOFILE)\n"
+            "resource.setrlimit(resource.RLIMIT_NOFILE, (48, hard))\n"
+            "run_experiment(ExperimentConfig.from_dict(json.loads(sys.argv[1])))\n"
+        )
+        path = [str(Path(experiment.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        done = subprocess.run(
+            [sys.executable, "-c", code, json.dumps({**raw, "out": str(limited)})],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert len(list((limited / "traces").iterdir())) == 60
+        assert _file_bytes(limited) == _file_bytes(free)
+
+    @pytest.mark.slow
+    def test_trace_files_add_no_peak_memory(self, tmp_path):
+        # The rows leave each chunk as it ends, so writing traces holds no
+        # (T, K) history: two lanes of 2 * 10^4 rounds peak as high as the
+        # same run without traces, within 5%.
+        peaks = {}
+        for traces in (False, True):
+            raw = dra_dict(replications=2, horizons=[20_000], write_traces=traces)
+            raw["out"] = str(tmp_path / str(traces))
+            config = ExperimentConfig.from_dict(raw)
+            tracemalloc.start()
+            try:
+                run_experiment(config)
+                peaks[traces] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[True] < 1.05 * peaks[False], peaks
 
 
 class TestCsvBytes:

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import History
 
 from banditalloc import (
     ActionSpace,
@@ -85,10 +86,11 @@ class Recorder:
 
 
 def recorded_run(model, cfg, horizon):
-    """Run the exact-DP learner with a Recorder attached."""
-    recorder = Recorder()
-    trace = run(model, ExactDpSolver(cfg), cfg, horizon, observer=recorder)
-    return trace, recorder
+    """Run the exact-DP learner with a Recorder and a History attached;
+    returns the History and the Recorder."""
+    recorder, history = Recorder(), History()
+    run(model, ExactDpSolver(cfg), cfg, horizon, observer=recorder, sink=history)
+    return history, recorder
 
 
 class TestComputeUcb:
@@ -117,14 +119,14 @@ class TestComputeUcb:
         assert (raw > 1.0).any() and (raw < 1.0).any()  # the clamp binds somewhere
         upper = np.minimum(1.0, raw)
         solver = ExactDpSolver(cfg)
-        for t in range(len(trace)):
+        for t in range(len(trace.levels)):
             assert solver.solve_levels(upper[t]).tolist() == trace.levels[t].tolist()
 
     def test_radii_shrink_with_counts_and_grow_with_time(self):
         model, cfg = table_3x4()
         trace, seen = recorded_run(model, cfg, 600)
         radii = seen.radii
-        _, counts = expected_radii(trace.levels, cfg.space.n, len(trace))
+        _, counts = expected_radii(trace.levels, cfg.space.n, len(trace.levels))
         tried = counts > 0
         # within a round, more pulls mean a smaller radius
         for t in (50, 300, 599):
@@ -201,18 +203,20 @@ class TestUntriedArms:
         cfg = table_3x4()[1]
         models = [table_3x4(seed)[0] for seed in seeds]
         observers = [self.StrictRecorder() for _ in models]
+        histories = [History() for _ in models]
         horizon = 1500
         with np.errstate(all="raise"), warnings.catch_warnings():
             warnings.simplefilter("error")
             if width == 1:
                 traces = [
-                    run(models[0], ExactDpSolver(cfg), cfg, horizon, observers[0])
+                    run(models[0], ExactDpSolver(cfg), cfg, horizon, observers[0],
+                        histories[0])
                 ]
             else:
                 solvers = [ExactDpSolver(cfg) for _ in models]
-                traces = run(models, solvers, cfg, horizon, observers)
-        for trace, seen in zip(traces, observers):
-            want, counts = expected_radii(trace.levels, cfg.space.n, horizon)
+                traces = run(models, solvers, cfg, horizon, observers, histories)
+        for trace, seen, history in zip(traces, observers, histories):
+            want, counts = expected_radii(history.levels, cfg.space.n, horizon)
             assert np.array_equal(seen.radii, want)
             assert np.array_equal(np.isposinf(seen.radii), counts == 0)
             assert (trace.stats.counts == 0).any()
@@ -220,11 +224,14 @@ class TestUntriedArms:
     def test_final_counts_are_int64_pull_counts(self):
         model, cfg = table_3x4()
         models = [model, table_3x4(20)[0]]
-        traces = run(models, [ExactDpSolver(cfg) for _ in models], cfg, 700)
-        for trace in traces:
+        histories = [History() for _ in models]
+        traces = run(
+            models, [ExactDpSolver(cfg) for _ in models], cfg, 700, sink=histories
+        )
+        for trace, history in zip(traces, histories):
             assert trace.stats.counts.dtype == np.int64
             recounted = [
-                np.bincount(trace.levels[:, k], minlength=cfg.space.n)
+                np.bincount(history.levels[:, k], minlength=cfg.space.n)
                 for k in range(cfg.resources)
             ]
             assert np.array_equal(trace.stats.counts, recounted)
@@ -235,8 +242,9 @@ class TestSelectAllocation:
         # every arm clamps to 1, so all full-budget allocations tie on value
         # and the solver's tie order picks the cheapest: spend nothing
         cfg = native_cfg()
-        trace = run(flat_model(seed=3), ExactDpSolver(cfg), cfg, 1)
-        assert tuple(trace.levels[0]) == (0, 0)
+        history = History()
+        run(flat_model(seed=3), ExactDpSolver(cfg), cfg, 1, sink=history)
+        assert tuple(history.levels[0]) == (0, 0)
 
     def test_learned_means_drive_the_choice(self):
         cfg = native_cfg()
@@ -250,14 +258,21 @@ class TestSelectAllocation:
 
 class TestRun:
     def test_trace_shapes_and_ranges(self):
+        # 2100 rounds reach the sink as two full chunks and a short one.
         cfg = native_cfg()
         model = flat_model(seed=5)
-        trace = run(model, ExactDpSolver(cfg), cfg, 40)
-        assert len(trace) == 40
-        assert trace.levels.shape == (40, 2)
-        assert trace.rewards.shape == (40, 2)
-        assert trace.expected.shape == (40,)
+        history = History()
+        trace = run(model, ExactDpSolver(cfg), cfg, 2100, sink=history)
+        assert len(trace) == 2100
+        assert trace.expected.shape == (2100,)
         assert np.all((trace.expected >= 0) & (trace.expected <= 2))
+        chunks = [(1, 1024), (1025, 1024), (2049, 52)]
+        assert [(start, len(exp)) for start, _, _, exp in history.chunks] == chunks
+        for start, levels, rewards, exp in history.chunks:
+            assert levels.shape == rewards.shape == (len(exp), 2)
+            assert levels.dtype == np.int64
+            assert np.all((rewards >= 0) & (rewards <= 1))
+            assert np.array_equal(exp, trace.expected[start - 1 : start - 1 + len(exp)])
 
     def test_every_arm_gets_tried(self):
         cfg = native_cfg()
@@ -275,12 +290,13 @@ class TestRun:
     def test_stats_match_trace(self):
         cfg = native_cfg()
         model = flat_model(seed=3)
-        trace = run(model, ExactDpSolver(cfg), cfg, 80)
+        history = History()
+        trace = run(model, ExactDpSolver(cfg), cfg, 80, sink=history)
         for k in range(2):
-            recounted = np.bincount(trace.levels[:, k], minlength=3)
+            recounted = np.bincount(history.levels[:, k], minlength=3)
             assert np.array_equal(recounted, trace.stats.counts[k])
             for a in range(3):
-                picked = trace.rewards[trace.levels[:, k] == a, k]
+                picked = history.rewards[history.levels[:, k] == a, k]
                 if picked.size:
                     assert trace.stats.emp_means[k, a] == pytest.approx(
                         picked.mean(), rel=1e-12
@@ -289,8 +305,9 @@ class TestRun:
     def test_every_round_feasible(self):
         cfg = native_cfg(resources=3, budget=4.0, n=4)
         model = flat_model(resources=3, n=4, seed=7)
-        trace = run(model, ExactDpSolver(cfg), cfg, 200)
-        assert np.all(trace.levels.sum(axis=1) <= cfg.capacity_units)
+        history = History()
+        run(model, ExactDpSolver(cfg), cfg, 200, sink=history)
+        assert np.all(history.levels.sum(axis=1) <= cfg.capacity_units)
 
     def test_flat_instance_has_zero_regret(self):
         # all levels pay the same, so every allocation is optimal
@@ -304,10 +321,11 @@ class TestRun:
     def test_identical_runs_replay(self):
         cfg = native_cfg()
         model = RewardModel.table([[0.1, 0.6, 0.3], [0.2, 0.4, 0.9]], rng_seed=13)
-        a = run(model, ExactDpSolver(cfg), cfg, 150)
-        b = run(model, ExactDpSolver(cfg), cfg, 150)
-        assert np.array_equal(a.levels, b.levels)
-        assert np.array_equal(a.rewards, b.rewards)
+        seen_a, seen_b = History(), History()
+        a = run(model, ExactDpSolver(cfg), cfg, 150, sink=seen_a)
+        b = run(model, ExactDpSolver(cfg), cfg, 150, sink=seen_b)
+        assert np.array_equal(seen_a.levels, seen_b.levels)
+        assert np.array_equal(seen_a.rewards, seen_b.rewards)
         assert np.array_equal(a.expected, b.expected)
 
     def test_converges_on_deterministic_instance(self):
@@ -315,10 +333,11 @@ class TestRun:
         # the clamp phase only log-sparse revisits leave the best allocation
         cfg = native_cfg()
         model = RewardModel.table([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]], rng_seed=0)
-        trace = run(model, ExactDpSolver(cfg), cfg, 400)
+        history = History()
+        run(model, ExactDpSolver(cfg), cfg, 400, sink=history)
         best = ExactDpSolver(cfg).solve(model.mean_matrix(cfg.space))
         assert best.allocation.levels == (1, 0) and best.value == 2.0
-        last_half = trace.levels[200:]
+        last_half = history.levels[200:]
         share = np.mean(
             [tuple(row) == best.allocation.levels for row in last_half]
         )
@@ -358,8 +377,8 @@ class TestRun:
 
     @pytest.mark.slow
     def test_peak_memory_per_round(self):
-        # The trace keeps 40 bytes per round at K = 2 (levels, rewards and
-        # expected values); the noise is drawn one chunk of rounds at a time,
+        # The trace keeps 8 bytes per round (the expected values) and run
+        # keeps no history; the noise is drawn one chunk of rounds at a time,
         # so the whole (K, T) block of uniforms is never held.
         model, cfg = flat_model(), native_cfg()
         solver = ExactDpSolver(cfg)
@@ -371,6 +390,21 @@ class TestRun:
         finally:
             tracemalloc.stop()
         assert peak / horizon < 52
+
+    @pytest.mark.slow
+    def test_peak_memory_per_round_without_history(self):
+        # Without a sink, a lane's only per-round memory is its 8 bytes of
+        # expected values; its levels go to one buffer of a chunk of rounds.
+        model, cfg = flat_model(), native_cfg()
+        solver = ExactDpSolver(cfg)
+        horizon = 100_000
+        tracemalloc.start()
+        try:
+            run(model, solver, cfg, horizon)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / horizon < 12
 
     @pytest.mark.slow
     @pytest.mark.parametrize("lanes", [2, 5])
@@ -435,7 +469,8 @@ class TestStepApi:
         ids=["table", "hinge_grid", "concave_exp_grid"],
     )
     def test_step_loop_replays_run(self, model, cfg, horizon):
-        trace = run(model, ExactDpSolver(cfg), cfg, horizon)
+        trace = History()
+        run(model, ExactDpSolver(cfg), cfg, horizon, sink=trace)
         for t in range(1, horizon + 1):
             for k in range(cfg.resources):
                 arm = ArmId(k + 1, int(trace.levels[t - 1, k]))
@@ -494,9 +529,9 @@ LANE_SOLVERS = {
 }
 
 
-def assert_same_run(got, want, got_obs, want_obs):
-    assert np.array_equal(got.levels, want.levels)
-    assert np.array_equal(got.rewards, want.rewards)
+def assert_same_run(got, want, got_obs, want_obs, got_seen, want_seen):
+    assert np.array_equal(got_seen.levels, want_seen.levels)
+    assert np.array_equal(got_seen.rewards, want_seen.rewards)
     assert np.array_equal(got.expected, want.expected)
     assert np.array_equal(got.stats.counts, want.stats.counts)
     assert np.array_equal(got.stats.emp_means, want.stats.emp_means)
@@ -508,8 +543,9 @@ def assert_same_run(got, want, got_obs, want_obs):
 
 
 class TestLockstep:
-    """run steps a block of lanes in lockstep; each lane's trace, statistics
-    and observer calls equal those of a one-lane run of that lane."""
+    """run steps a block of lanes in lockstep; each lane's trace, statistics,
+    observer calls and sink chunks equal those of a one-lane run of that
+    lane."""
 
     @staticmethod
     def lanes(instance, solver, width, seed=0):
@@ -531,29 +567,35 @@ class TestLockstep:
         cfg, models, solvers = self.lanes(instance, solver, width)
         horizon = 150
         alone_obs = [Recorder() for _ in models]
+        alone_seen = [History() for _ in models]
         alone = [
-            run(m, s, cfg, horizon, observer=o)
-            for m, s, o in zip(models, solvers(), alone_obs)
+            run(m, s, cfg, horizon, observer=o, sink=h)
+            for m, s, o, h in zip(models, solvers(), alone_obs, alone_seen)
         ]
         block_obs = [Recorder() for _ in models]
-        block = run(models, solvers(), cfg, horizon, observer=block_obs)
+        block_seen = [History() for _ in models]
+        block = run(
+            models, solvers(), cfg, horizon, observer=block_obs, sink=block_seen
+        )
         assert isinstance(block, list) and len(block) == width
-        for got, want, got_obs, want_obs in zip(block, alone, block_obs, alone_obs):
-            assert_same_run(got, want, got_obs, want_obs)
+        for lane in zip(block, alone, block_obs, alone_obs, block_seen, alone_seen):
+            assert_same_run(*lane)
 
     @pytest.mark.parametrize("solver", ["exact", "coin-exact"])
     def test_lanes_cross_the_noise_chunks(self, solver):
         # 1100 rounds span two chunks of drawn noise and log evaluations.
         cfg, models, solvers = self.lanes("table-K3-cap-above", solver, 3, seed=1)
         alone_obs = [Recorder() for _ in models]
+        alone_seen = [History() for _ in models]
         alone = [
-            run(m, s, cfg, 1100, observer=o)
-            for m, s, o in zip(models, solvers(), alone_obs)
+            run(m, s, cfg, 1100, observer=o, sink=h)
+            for m, s, o, h in zip(models, solvers(), alone_obs, alone_seen)
         ]
         block_obs = [Recorder() for _ in models]
-        block = run(models, solvers(), cfg, 1100, observer=block_obs)
-        for got, want, got_obs, want_obs in zip(block, alone, block_obs, alone_obs):
-            assert_same_run(got, want, got_obs, want_obs)
+        block_seen = [History() for _ in models]
+        block = run(models, solvers(), cfg, 1100, observer=block_obs, sink=block_seen)
+        for lane in zip(block, alone, block_obs, alone_obs, block_seen, alone_seen):
+            assert_same_run(*lane)
 
     def test_coins_flip_once_per_lane_and_round(self):
         cfg, models, solvers = self.lanes("table-K2-cap-above", "coin-exact", 4)
@@ -562,19 +604,25 @@ class TestLockstep:
         assert [s.calls for s in block_solvers] == [300] * 4
 
     def test_internals_and_history_per_lane(self):
+        # Observers on one lane and a sink on the other, against lanes run
+        # alone with both and a block run with neither.
         cfg, models, solvers = self.lanes("concave-K2-cap-below", "exact", 2)
         alone_obs = [Recorder() for _ in models]
+        alone_seen = [History() for _ in models]
         alone = [
-            run(m, s, cfg, 120, observer=o)
-            for m, s, o in zip(models, solvers(), alone_obs)
+            run(m, s, cfg, 120, observer=o, sink=h)
+            for m, s, o, h in zip(models, solvers(), alone_obs, alone_seen)
         ]
-        block_obs = [Recorder() for _ in models]
-        run(models, solvers(), cfg, 120, observer=block_obs)
-        bare = run(models, solvers(), cfg, 120, record_history=False)
-        for got_obs, lean, want, want_obs in zip(block_obs, bare, alone, alone_obs):
-            assert np.array_equal(got_obs.emp_means, want_obs.emp_means)
-            assert np.array_equal(got_obs.radii, want_obs.radii)
-            assert lean.levels is None and lean.rewards is None
+        got_obs, got_seen = Recorder(), History()
+        run(
+            models, solvers(), cfg, 120, observer=[got_obs, None], sink=[None, got_seen]
+        )
+        assert np.array_equal(got_obs.emp_means, alone_obs[0].emp_means)
+        assert np.array_equal(got_obs.radii, alone_obs[0].radii)
+        assert np.array_equal(got_seen.levels, alone_seen[1].levels)
+        assert np.array_equal(got_seen.rewards, alone_seen[1].rewards)
+        bare = run(models, solvers(), cfg, 120)
+        for lean, want in zip(bare, alone):
             assert np.array_equal(lean.expected, want.expected)
             assert np.array_equal(lean.stats.counts, want.stats.counts)
 
@@ -584,6 +632,8 @@ class TestLockstep:
             run(models, solvers()[:1], cfg, 10)
         with pytest.raises(ValueError):
             run(models, solvers(), cfg, 10, observer=[None])
+        with pytest.raises(ValueError):
+            run(models, solvers(), cfg, 10, sink=[History()])
         with pytest.raises(ValueError):
             run([], [], cfg, 10)
         other = native_cfg(resources=2, budget=3.0, n=3)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import History
 from numpy.random import Generator, Philox
 
 from banditalloc import (
@@ -445,16 +446,17 @@ class TestCoinFlipOracle:
     def test_learner_run_matches_reference_solver(self):
         cfg = ProblemConfig(resources=4, budget=7.0, space=ActionSpace.integer_levels(5))
         thetas = (0.2, 0.45, 0.7, 0.95)
-        traces = []
-        for solver in (
+        solvers = (
             build_solver(OracleSpec(0.9, 0.9, "greedy"), cfg, seed=5),
             ReferenceCoinGreedy(cfg, 0.9, 5),
-        ):
+        )
+        traces, histories = [], [History(), History()]
+        for solver, history in zip(solvers, histories):
             model = RewardModel.hinge(thetas, budget=cfg.budget, rng_seed=13)
-            traces.append(run(model, solver, cfg, 3000))
+            traces.append(run(model, solver, cfg, 3000, sink=history))
         got, want = traces
-        assert np.array_equal(got.levels, want.levels)
-        assert np.array_equal(got.rewards, want.rewards)
+        assert np.array_equal(histories[0].levels, histories[1].levels)
+        assert np.array_equal(histories[0].rewards, histories[1].rewards)
         assert np.array_equal(got.expected, want.expected)
         assert np.array_equal(got.stats.counts, want.stats.counts)
         assert np.array_equal(got.stats.emp_means, want.stats.emp_means)
