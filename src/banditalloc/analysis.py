@@ -338,19 +338,31 @@ class CoverageObserver:
     independent of the horizon. Holds the true means, so it lives strictly
     on the analysis side of the learner/analysis wall.
 
-    ``counts_at[h]`` is the count over rounds 1..h for each of the given
-    ``horizons`` the run reaches, so one long run answers every shorter
-    horizon.
+    ``count`` is an int for (K, n) statistics and an (R,) int64 array, one
+    count per lane, for an (R, K, n) block. ``counts_at[h]`` is the count
+    over rounds 1..h for each of the given ``horizons`` the run reaches, so
+    one long run answers every shorter horizon.
     """
 
     def __init__(self, mean_matrix: np.ndarray, horizons: Iterable[int] = ()):
         self._mu = np.asarray(mean_matrix, dtype=np.float64)
         self._marks = frozenset(horizons)
         self.count = 0
-        self.counts_at: dict[int, int] = {}
+        self.counts_at: dict[int, int | np.ndarray] = {}
+        self._gap = None  # sized by the first round
 
     def __call__(self, t: int, emp_means: np.ndarray, radii: np.ndarray) -> None:
-        if np.count_nonzero(np.abs(emp_means - self._mu) >= radii):
-            self.count += 1
+        if self._gap is None:
+            # Buffers and per-lane means: no round allocates or broadcasts.
+            # Out arguments go by position, which costs less than by keyword.
+            shape = emp_means.shape
+            self._mu = np.broadcast_to(self._mu, shape).copy()
+            self._gap, self._outside = np.empty(shape), np.empty(shape, dtype=bool)
+            self.count = np.zeros(shape[0], dtype=np.int64) if len(shape) > 2 else 0
+        gap = np.abs(np.subtract(emp_means, self._mu, self._gap), self._gap)
+        if np.count_nonzero(np.greater_equal(gap, radii, self._outside)):
+            # count is replaced, never changed in place, so counts_at may
+            # keep it; tolist() keeps a one-lane count a Python int.
+            self.count = self.count + self._outside.any(axis=(-2, -1)).tolist()
         if t in self._marks:
             self.counts_at[t] = self.count

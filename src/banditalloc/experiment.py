@@ -471,30 +471,33 @@ def _round_rows(*columns: np.ndarray, first: int = 1) -> Iterator[tuple]:
 # -- replication workers ------------------------------------------------------
 
 
-def _trace_sink(files: ExitStack, payload: tuple, rep: int, rng_seed: int) -> Sink:
-    """A run sink for replication ``rep`` of a _bandit_task payload. It
-    enters one _csv_file per horizon on ``files`` and appends each chunk's
-    rows to the file of every horizon the chunk reaches, up to that
-    horizon."""
-    config, config_hash, cfg, horizons, _, out = payload
+def _trace_sink(files: ExitStack, payload: tuple, seeds: list[int]) -> Sink:
+    """A run sink for the block of replications of a _bandit_task payload,
+    drawn from ``seeds``. It enters one _csv_file per replication and horizon
+    on ``files`` and appends each replication's rows of a chunk to the file
+    of every horizon the chunk reaches, up to that horizon."""
+    config, config_hash, cfg, horizons, block, out = payload
     ids = range(1, cfg.resources + 1)
     header = ["round", *(f"level_{k}" for k in ids), *(f"reward_{k}" for k in ids)]
     header.append("expected_total")
     space = cfg.space
     grid = {"epsilon": repr(space.pitch), "N": space.n} if space.is_grid else {}
-    appends = []
-    for horizon in horizons:
-        meta = {"config_hash": config_hash, "mode": config.mode, "horizon": horizon,
-                "replication": rep, "rng_seed": rng_seed, **grid}
-        path = Path(out) / "traces" / f"trace_{config.mode}_T{horizon}_rep{rep}.csv"
-        appends.append(files.enter_context(_csv_file(path, header, meta)))
+    appends = []  # per replication, one append per horizon
+    for rep, rng_seed in zip(block, seeds):
+        appends.append([])
+        for horizon in horizons:
+            meta = {"config_hash": config_hash, "mode": config.mode, "horizon": horizon,
+                    "replication": rep, "rng_seed": rng_seed, **grid}
+            path = Path(out) / "traces" / f"trace_{config.mode}_T{horizon}_rep{rep}.csv"
+            appends[-1].append(files.enter_context(_csv_file(path, header, meta)))
 
     def sink(start, levels, rewards, expected) -> None:
-        for horizon, append in zip(horizons, appends):
-            if horizon >= start:
-                rows = slice(horizon - start + 1)
-                columns = (*levels[rows].T, *rewards[rows].T, expected[rows])
-                append(_round_rows(*columns, first=start))
+        for lane, played, seen, exp in zip(appends, levels, rewards, expected):
+            for horizon, append in zip(horizons, lane):
+                if horizon >= start:
+                    rows = slice(horizon - start + 1)
+                    columns = (*played[rows].T, *seen[rows].T, exp[rows])
+                    append(_round_rows(*columns, first=start))
 
     return sink
 
@@ -509,30 +512,27 @@ def _bandit_task(payload: tuple) -> list[tuple[np.ndarray, list[int]]]:
     The learner is anytime: round t's radius, noise and coin flips do not
     depend on the horizon, so the run of horizon h is the first h rounds of
     this one. Each horizon's trace file holds that prefix, and its
-    violation count covers rounds 1..h. The trace files take each chunk of
-    rounds from a sink, and are moved into place when the run returns.
+    violation count covers rounds 1..h. One coverage observer and one trace
+    sink serve the block; the trace files move into place when it returns.
     ``config_hash`` is the config's, computed once by the parent."""
     config, config_hash, cfg, horizons, block, out = payload
     seeds = [streams.mix_seed(config.seed, rep) for rep in block]
     models = [build_model(config, rng_seed) for rng_seed in seeds]
     solvers = [build_solver(config.oracle, cfg, seed=rng_seed) for rng_seed in seeds]
-    means = models[0].mean_matrix(cfg.space)
-    observers = [CoverageObserver(means, horizons) for _ in block]
+    observer = CoverageObserver(models[0].mean_matrix(cfg.space), horizons)
     with ExitStack() as files:
-        sinks = None
-        if config.write_traces:
-            sinks = [_trace_sink(files, payload, *lane) for lane in zip(block, seeds)]
-        traces = run(models, solvers, cfg, horizons[-1], observer=observers, sink=sinks)
-    return [
-        (trace.expected, [observer.counts_at[h] for h in horizons])
-        for trace, observer in zip(traces, observers)
-    ]
+        sink = _trace_sink(files, payload, seeds) if config.write_traces else None
+        traces = run(models, solvers, cfg, horizons[-1], observer=observer, sink=sink)
+    counts = zip(*(observer.counts_at[h].tolist() for h in horizons))
+    return [(trace.expected, list(lane)) for trace, lane in zip(traces, counts)]
 
 
 def _workers(jobs: int, tasks: int) -> int:
     """Processes for ``tasks`` independent tasks: never more than the tasks
-    or the CPUs, since a pool starts every worker at once."""
-    return min(jobs, tasks, os.cpu_count() or 1)
+    or the CPUs this process may run on (its affinity set, where the
+    platform has one), since a pool starts every worker at once."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return min(jobs, tasks, len(affinity(0)) if affinity else (os.cpu_count() or 1))
 
 
 def _map_ordered(fn, payloads: list, jobs: int) -> Iterator:

@@ -19,18 +19,17 @@ the tried arm. On the 3x4 reference instance of the acceptance tests
 that resource's level counts end at [49958, 22, 20, 0]. There is no initial
 round-robin over the arms.
 
-run steps a block of independent runs ("lanes") of one instance in
-lockstep, one model, solver and observer per lane: the statistics of all
-lanes sit in (R, K, n) arrays, so the radii, the clamp and, when every lane
-runs the exact DP, the solver's backward pass cost one set of numpy calls
-per round for the whole block. The reward transform, the range check, the
-fold, the observers and the coin flips stay per lane, in the one-lane
-order, so every lane's trace equals the trace of that lane run alone. A
-one-lane run is the same loop with R = 1.
-
-A trace keeps the expected values and the end-of-run statistics; run keeps
-no history. The per-round means and radii leave it only through its observer,
-and the played levels and rewards only through its sink, once per chunk.
+run steps a block of independent runs ("lanes") of one instance in lockstep,
+one model and solver per lane: the statistics of all lanes sit in (R, K, n)
+arrays, so the radii, the clamp and, when every lane runs the exact DP, the
+solver's backward pass cost one set of numpy calls per round for the whole
+block. The reward transform, the range check, the fold and the coin flips
+stay per lane, in the one-lane order, so every lane's trace equals the trace
+of that lane run alone. A one-lane run is the same loop with R = 1. run
+keeps no history: a trace holds the expected values and the end-of-run
+statistics, and the per-round means and radii leave it only through its one
+observer, once per round, and the played levels and rewards only through its
+one sink, once per chunk; each is shown the whole block.
 """
 
 from __future__ import annotations
@@ -48,9 +47,7 @@ from .oracle import _lane_solver, _SolverBase, allocation_value
 # drawn noise, one buffer of levels and one sink call.
 _CHUNK = 1024
 
-# observer(t, emp_means, radii), called at the start of round t.
-Observer = Callable[[int, np.ndarray, np.ndarray], None]
-# sink(start, levels, rewards, expected), called after each chunk of rounds.
+Observer = Callable[[int, np.ndarray, np.ndarray], None]  # see run
 Sink = Callable[[int, np.ndarray, np.ndarray, np.ndarray], None]
 
 
@@ -91,8 +88,8 @@ def run(
     solver: _SolverBase | Sequence[_SolverBase],
     cfg: ProblemConfig,
     horizon: int,
-    observer: Observer | Sequence[Observer | None] | None = None,
-    sink: Sink | Sequence[Sink | None] | None = None,
+    observer: Observer | None = None,
+    sink: Sink | None = None,
 ) -> RunTrace | list[RunTrace]:
     """Run the learner for ``horizon`` rounds against a reward model.
 
@@ -107,22 +104,18 @@ def run(
         each round.
     horizon:
         Number of rounds T >= 1.
-    observer:
-        Optional callback observer(t, emp_means, radii) invoked with the
-        start-of-round statistics before the allocation is chosen; with
-        lanes, a sequence of R such callbacks (or None entries), each shown
-        its own lane. The arrays are live views; observers must not mutate
-        them, and copy what they keep. This is the one way to see the
-        per-round statistics, and the hook for diagnostics that need the
-        true means, which the learner itself never sees.
-    sink:
-        Optional callback sink(start, levels, rewards, expected) invoked
-        after each chunk of up to 1024 rounds from round ``start`` on, with
-        its (rounds, K) level indices and rewards and (rounds,) expected
-        values; with lanes, a sequence of R such callbacks (or None
-        entries). The arrays are views, the levels and rewards of buffers
-        the next chunk reuses; sinks must not mutate them, and copy what
-        they keep. This is the one way to see the played levels and rewards.
+    observer, sink:
+        Optional callables. observer(t, emp_means, radii) is called once per
+        round with the start-of-round statistics, before the allocation is
+        chosen; sink(start, levels, rewards, expected) after each chunk of
+        up to 1024 rounds from round ``start`` on, with its level indices,
+        rewards and expected values. A one-lane run shows them (K, n),
+        (rounds, K) and (rounds,) arrays; with lanes each has a leading axis
+        of the R lanes, in order. The arrays are views of buffers the run
+        reuses; callbacks must not mutate them, and copy what they keep.
+        They are the one way to see the per-round statistics and the played
+        levels and rewards, and the observer is the hook for diagnostics
+        that need the true means, which the learner itself never sees.
 
     Returns
     -------
@@ -132,14 +125,12 @@ def run(
         means purely for analysis; no decision depends on it.
     """
     lanes = not isinstance(model, RewardModel)
-    if lanes:
-        models, solvers = list(model), list(solver)
-        observers = [None] * len(models) if observer is None else list(observer)
-        sinks = [None] * len(models) if sink is None else list(sink)
-    else:
-        models, solvers, observers, sinks = [model], [solver], [observer], [sink]
-    if not models or not len(solvers) == len(observers) == len(sinks) == len(models):
-        raise ValueError("lanes need one model, solver, observer and sink slot each")
+    models, solvers = (list(model), list(solver)) if lanes else ([model], [solver])
+    if not models or len(solvers) != len(models):
+        raise ValueError("lanes need one model and one solver each")
+    for name, callback in (("observer", observer), ("sink", sink)):
+        if callback is not None and not callable(callback):
+            raise ValueError(f"{name} must be one callable, not {type(callback).__name__}")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     tables = []
@@ -171,15 +162,15 @@ def run(
     upper = np.empty(shape)
 
     means = [m.mean_matrix(cfg.space) for m in models]
-    expected = [np.empty(horizon) for _ in models]
-    # Each chunk's levels are played into one buffer per lane, which is all
-    # the expected values need; its rewards are kept only for a sink.
-    rows = (_CHUNK, resources)
-    chunk_levels = [np.empty(rows, dtype=np.int64) for _ in models]
-    chunk_rewards = [None if s is None else np.empty(rows) for s in sinks]
-    watched = [
-        (o, e, r) for o, e, r in zip(observers, emp_means, radii) if o is not None
-    ]
+    expected = np.empty((len(models), horizon))
+    # Each chunk's levels are played into one buffer, which is all the
+    # expected values need; its rewards are kept only for a sink.
+    rows = (len(models), _CHUNK, resources)
+    played = np.empty(rows, dtype=np.int64)
+    seen = None if sink is None else np.empty(rows)
+    # The callbacks see the block with lanes and lane 0 in a one-lane run.
+    shown = slice(None) if lanes else 0
+    shown_emp, shown_radii = emp_means[shown], radii[shown]
 
     for start in range(1, horizon + 1, _CHUNK):
         stop = min(start + _CHUNK, horizon + 1)
@@ -192,39 +183,35 @@ def run(
         # Philox addressing gives a round the same uniforms in any block;
         # row i of a lane's (rounds, K) uniforms belongs to round start + i.
         block = [
-            (m, table, m.uniform_block(resource_ids, start, rounds).T, *lane)
-            for m, table, *lane in zip(
-                models, tables, counts, emp_means, chunk_levels, chunk_rewards
+            (r, m, table, m.uniform_block(resource_ids, start, rounds).T, *lane)
+            for r, (m, table, *lane) in enumerate(
+                zip(models, tables, counts, emp_means, played)
             )
         ]
-        for t, half_log in zip(range(start, stop), half_logs):
+        for i, half_log in enumerate(half_logs):
             with np.errstate(divide="ignore"):
                 np.divide(half_log, counts, out=radii)
             np.sqrt(radii, out=radii)
-            for observe, lane_emp, lane_radii in watched:
-                observe(t, lane_emp, lane_radii)
+            if observer is not None:
+                observer(start + i, shown_emp, shown_radii)
             np.add(emp_means, radii, out=upper)
             chosen = solve(np.minimum(upper, 1.0, out=upper))
             for lane, levels in zip(block, chosen):
-                m, table, uniforms, lane_counts, lane_emp, played, seen = lane
-                rewards = m.rewards_from_uniforms(table, levels, uniforms[t - start])
-                for reward in rewards:
-                    # Written so that NaN fails too.
+                r, m, table, uniforms, lane_counts, lane_emp, lane_played = lane
+                rewards = m.rewards_from_uniforms(table, levels, uniforms[i])
+                for reward in rewards:  # written so that NaN fails too
                     if not 0.0 <= reward <= 1.0:
-                        raise AssertionError(
-                            "environment produced a reward outside [0, 1]"
-                        )
-                played[t - start] = levels
+                        raise AssertionError("environment produced a reward outside [0, 1]")
+                lane_played[i] = levels
                 if seen is not None:
-                    seen[t - start] = rewards
+                    seen[r, i] = rewards
                 _fold(lane_counts, lane_emp, levels.tolist(), rewards)
         # allocation_value folds each round's levels from the last resource
         # back, the same doubles whatever the chunking.
-        for lane in zip(expected, means, chunk_levels, chunk_rewards, sinks):
-            exp, lane_means, played, seen, lane_sink = lane
-            exp[chunk] = allocation_value(lane_means, played[:rounds])
-            if lane_sink is not None:
-                lane_sink(start, played[:rounds], seen[:rounds], exp[chunk])
+        for exp, lane_means, lane_played in zip(expected, means, played):
+            exp[chunk] = allocation_value(lane_means, lane_played[:rounds])
+        if sink is not None:
+            sink(start, played[shown, :rounds], seen[shown, :rounds], expected[shown, chunk])
 
     traces = [
         RunTrace(exp, cfg, ArmStats(lane_counts.astype(np.int64), lane_emp.copy()))

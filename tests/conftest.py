@@ -5,7 +5,8 @@ import numpy as np
 
 class History:
     """A run sink that keeps a copy of every chunk it is shown, and gives
-    them back as the (T, K) played levels and rewards of the run."""
+    them back as the (T, K) played levels and rewards and the (T,) expected
+    values of the run; with lanes, each has a leading axis of the R lanes."""
 
     def __init__(self):
         self.chunks = []  # (start, levels, rewards, expected), copied
@@ -15,8 +16,12 @@ class History:
 
     @property
     def levels(self):
-        return np.concatenate([levels for _, levels, _, _ in self.chunks])
+        return np.concatenate([levels for _, levels, _, _ in self.chunks], axis=-2)
 
     @property
     def rewards(self):
-        return np.concatenate([rewards for _, _, rewards, _ in self.chunks])
+        return np.concatenate([rewards for _, _, rewards, _ in self.chunks], axis=-2)
+
+    @property
+    def expected(self):
+        return np.concatenate([exp for _, _, _, exp in self.chunks], axis=-1)

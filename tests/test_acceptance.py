@@ -288,13 +288,13 @@ def test_confidence_intervals_rarely_miss_the_truth():
     cfg = reference_cfg()
     solver = ExactDpSolver(cfg)
     truth = RewardModel.table(REFERENCE_PROBS, rng_seed=0).mean_matrix(cfg.space)
-    observers = [CoverageObserver(truth) for _ in range(REPLICATIONS)]
+    observer = CoverageObserver(truth)
     models = [
         RewardModel.table(REFERENCE_PROBS, rng_seed=mix_seed(NOISE_SEED, rep))
         for rep in range(REPLICATIONS)
     ]
-    run(models, [solver] * REPLICATIONS, cfg, 10_000, observer=observers)
-    counts = [observer.count for observer in observers]
+    run(models, [solver] * REPLICATIONS, cfg, 10_000, observer=observer)
+    counts = observer.count.tolist()
     allowance = 3.0 * (math.pi**2 / 3.0) * cfg.arm_count
     assert float(np.mean(counts)) <= allowance, f"violation counts {counts}"
 

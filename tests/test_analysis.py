@@ -407,6 +407,43 @@ class TestCoverage:
         violating = violating_rounds(model, cfg, 800, observer)
         assert observer.count == int(violating.sum())
 
+    def test_block_observer_matches_one_observer_per_lane(self):
+        # One observer shown a three-lane block counts each lane as an
+        # observer shown that lane alone does, and as the batch test does,
+        # through rounds where no lane violates, rounds where only some
+        # lanes do and rounds where all do. The CUCB intervals almost never
+        # miss the true means in 800 rounds, so the observers hold the
+        # second resource's means 0.2 too high, which the intervals miss
+        # once its counts grow.
+        cfg = native_cfg()
+        probs = [[0.1, 0.6, 0.3], [0.2, 0.4, 0.9]]
+        models = [RewardModel.table(probs, rng_seed=seed) for seed in (41, 42, 43)]
+        truth = models[0].mean_matrix(cfg.space) + [[0.0], [0.2]]
+        horizons = (1, 10, 100, 800)
+        block = CoverageObserver(truth, horizons)
+        alone = [CoverageObserver(truth, horizons) for _ in models]
+        emp, radii = [], []
+
+        def observe(t, emp_means, radii_now):
+            emp.append(emp_means.copy())
+            radii.append(radii_now.copy())
+            block(t, emp_means, radii_now)
+            for observer, lane_emp, lane_radii in zip(alone, emp_means, radii_now):
+                observer(t, lane_emp, lane_radii)
+
+        run(models, [ExactDpSolver(cfg) for _ in models], cfg, 800, observer=observe)
+        # (T, R): which lanes had some arm outside its interval each round.
+        outside = (np.abs(np.array(emp) - truth) >= np.array(radii)).any(axis=(2, 3))
+        assert {0, 1, 2, 3} <= set(outside.sum(axis=1).tolist())
+        assert block.count.dtype == np.int64 and block.count.shape == (3,)
+        assert all(type(observer.count) is int for observer in alone)
+        assert block.count.tolist() == [observer.count for observer in alone]
+        assert block.count.tolist() == outside.sum(axis=0).tolist()
+        assert block.counts_at.keys() == alone[0].counts_at.keys() == set(horizons)
+        for h in horizons:
+            want = outside[:h].sum(axis=0).tolist()
+            assert block.counts_at[h].tolist() == [o.counts_at[h] for o in alone] == want
+
     def test_handcrafted_violation(self):
         observer = CoverageObserver(np.array([[0.5, 0.5]]))
         emp = np.zeros((1, 2))

@@ -628,10 +628,22 @@ def test_worker_count_is_capped(
             return map(fn, payloads)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    # The CPU count of a platform without an affinity set.
+    monkeypatch.delattr(experiment.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(experiment.os, "cpu_count", lambda: cpus)
     raw = dra_dict(horizons=horizons, replications=reps, jobs=jobs, out=str(tmp_path))
     run_experiment(ExperimentConfig.from_dict(raw))
     assert created == pools
+
+
+def test_worker_count_follows_cpu_affinity(monkeypatch):
+    # A process pinned to one CPU of a larger host starts no pool: the
+    # affinity set, not the host's CPU count, caps the workers.
+    monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 4)
+    assert experiment._workers(4, 4) == 1
+    monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: {0, 2, 3})
+    assert experiment._workers(4, 4) == 3
 
 
 def _csv_files(out):
@@ -753,7 +765,8 @@ class TestWorkIsShared:
                 return map(fn, payloads)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
         raw = dra_dict(replications=5, jobs=2, out=str(tmp_path))
         assert self.recorded_calls(monkeypatch, raw) == [(200, [0, 1]), (200, [2, 3, 4])]
 

@@ -66,7 +66,8 @@ def expected_radii(levels, n, horizon):
 
 
 class Recorder:
-    """An observer that keeps a copy of every argument it is shown."""
+    """An observer that keeps a copy of every argument it is shown; with
+    lanes, each round's arrays have a leading axis of the R lanes."""
 
     def __init__(self):
         self.seen = []
@@ -76,12 +77,12 @@ class Recorder:
 
     @property
     def emp_means(self):
-        """(T, K, n) start-of-round empirical means."""
+        """(T, K, n) start-of-round empirical means, (T, R, K, n) with lanes."""
         return np.array([emp for _, emp, _ in self.seen])
 
     @property
     def radii(self):
-        """(T, K, n) start-of-round radii."""
+        """(T, K, n) start-of-round radii, (T, R, K, n) with lanes."""
         return np.array([radii for _, _, radii in self.seen])
 
 
@@ -202,36 +203,34 @@ class TestUntriedArms:
         seeds = [7, 20, 37][:width]
         cfg = table_3x4()[1]
         models = [table_3x4(seed)[0] for seed in seeds]
-        observers = [self.StrictRecorder() for _ in models]
-        histories = [History() for _ in models]
+        seen, history = self.StrictRecorder(), History()
         horizon = 1500
         with np.errstate(all="raise"), warnings.catch_warnings():
             warnings.simplefilter("error")
             if width == 1:
-                traces = [
-                    run(models[0], ExactDpSolver(cfg), cfg, horizon, observers[0],
-                        histories[0])
-                ]
+                traces = [run(models[0], ExactDpSolver(cfg), cfg, horizon, seen, history)]
+                radii, levels = seen.radii[:, None], history.levels[None]
             else:
                 solvers = [ExactDpSolver(cfg) for _ in models]
-                traces = run(models, solvers, cfg, horizon, observers, histories)
-        for trace, seen, history in zip(traces, observers, histories):
-            want, counts = expected_radii(history.levels, cfg.space.n, horizon)
-            assert np.array_equal(seen.radii, want)
-            assert np.array_equal(np.isposinf(seen.radii), counts == 0)
+                traces = run(models, solvers, cfg, horizon, seen, history)
+                radii, levels = seen.radii, history.levels
+        for lane, trace in enumerate(traces):
+            want, counts = expected_radii(levels[lane], cfg.space.n, horizon)
+            assert np.array_equal(radii[:, lane], want)
+            assert np.array_equal(np.isposinf(radii[:, lane]), counts == 0)
             assert (trace.stats.counts == 0).any()
 
     def test_final_counts_are_int64_pull_counts(self):
         model, cfg = table_3x4()
         models = [model, table_3x4(20)[0]]
-        histories = [History() for _ in models]
+        history = History()
         traces = run(
-            models, [ExactDpSolver(cfg) for _ in models], cfg, 700, sink=histories
+            models, [ExactDpSolver(cfg) for _ in models], cfg, 700, sink=history
         )
-        for trace, history in zip(traces, histories):
+        for trace, levels in zip(traces, history.levels):
             assert trace.stats.counts.dtype == np.int64
             recounted = [
-                np.bincount(history.levels[:, k], minlength=cfg.space.n)
+                np.bincount(levels[:, k], minlength=cfg.space.n)
                 for k in range(cfg.resources)
             ]
             assert np.array_equal(trace.stats.counts, recounted)
@@ -377,22 +376,6 @@ class TestRun:
 
     @pytest.mark.slow
     def test_peak_memory_per_round(self):
-        # The trace keeps 8 bytes per round (the expected values) and run
-        # keeps no history; the noise is drawn one chunk of rounds at a time,
-        # so the whole (K, T) block of uniforms is never held.
-        model, cfg = flat_model(), native_cfg()
-        solver = ExactDpSolver(cfg)
-        horizon = 100_000
-        tracemalloc.start()
-        try:
-            run(model, solver, cfg, horizon)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / horizon < 52
-
-    @pytest.mark.slow
-    def test_peak_memory_per_round_without_history(self):
         # Without a sink, a lane's only per-round memory is its 8 bytes of
         # expected values; its levels go to one buffer of a chunk of rounds.
         model, cfg = flat_model(), native_cfg()
@@ -529,23 +512,29 @@ LANE_SOLVERS = {
 }
 
 
-def assert_same_run(got, want, got_obs, want_obs, got_seen, want_seen):
-    assert np.array_equal(got_seen.levels, want_seen.levels)
-    assert np.array_equal(got_seen.rewards, want_seen.rewards)
+def assert_same_run(lane, got, want):
+    """Lane ``lane`` of a block run, read from got = (its trace, the block's
+    Recorder, the block's History), equals the one-lane run want = (trace,
+    Recorder, History)."""
+    (got, got_obs, got_seen), (want, want_obs, want_seen) = got, want
+    assert np.array_equal(got_seen.levels[lane], want_seen.levels)
+    assert np.array_equal(got_seen.rewards[lane], want_seen.rewards)
+    assert np.array_equal(got_seen.expected[lane], want_seen.expected)
+    assert [c[0] for c in got_seen.chunks] == [c[0] for c in want_seen.chunks]
     assert np.array_equal(got.expected, want.expected)
     assert np.array_equal(got.stats.counts, want.stats.counts)
     assert np.array_equal(got.stats.emp_means, want.stats.emp_means)
     assert len(got_obs.seen) == len(want_obs.seen) == len(want)
     for (t, emp, radii), (t0, emp0, radii0) in zip(got_obs.seen, want_obs.seen):
         assert t == t0
-        assert np.array_equal(emp, emp0)
-        assert np.array_equal(radii, radii0)
+        assert np.array_equal(emp[lane], emp0)
+        assert np.array_equal(radii[lane], radii0)
 
 
 class TestLockstep:
-    """run steps a block of lanes in lockstep; each lane's trace, statistics,
-    observer calls and sink chunks equal those of a one-lane run of that
-    lane."""
+    """run steps a block of lanes in lockstep; each lane's trace and
+    statistics, and its slice of the block's observer calls and sink
+    chunks, equal those of a one-lane run of that lane."""
 
     @staticmethod
     def lanes(instance, solver, width, seed=0):
@@ -560,42 +549,33 @@ class TestLockstep:
 
         return cfg, models, solvers
 
-    @pytest.mark.parametrize("width", [1, 2, 5])
-    @pytest.mark.parametrize("solver", sorted(LANE_SOLVERS))
-    @pytest.mark.parametrize("instance", sorted(LANE_INSTANCES))
-    def test_lanes_equal_one_lane_runs(self, instance, solver, width):
-        cfg, models, solvers = self.lanes(instance, solver, width)
-        horizon = 150
+    @staticmethod
+    def assert_lanes_equal_one_lane_runs(cfg, models, solvers, horizon):
         alone_obs = [Recorder() for _ in models]
         alone_seen = [History() for _ in models]
         alone = [
             run(m, s, cfg, horizon, observer=o, sink=h)
             for m, s, o, h in zip(models, solvers(), alone_obs, alone_seen)
         ]
-        block_obs = [Recorder() for _ in models]
-        block_seen = [History() for _ in models]
-        block = run(
-            models, solvers(), cfg, horizon, observer=block_obs, sink=block_seen
-        )
-        assert isinstance(block, list) and len(block) == width
-        for lane in zip(block, alone, block_obs, alone_obs, block_seen, alone_seen):
-            assert_same_run(*lane)
+        block_obs, block_seen = Recorder(), History()
+        block = run(models, solvers(), cfg, horizon, observer=block_obs, sink=block_seen)
+        assert isinstance(block, list) and len(block) == len(models)
+        for lane, want in enumerate(zip(alone, alone_obs, alone_seen)):
+            assert_same_run(lane, (block[lane], block_obs, block_seen), want)
+        return block, block_obs, block_seen
+
+    @pytest.mark.parametrize("width", [1, 2, 5])
+    @pytest.mark.parametrize("solver", sorted(LANE_SOLVERS))
+    @pytest.mark.parametrize("instance", sorted(LANE_INSTANCES))
+    def test_lanes_equal_one_lane_runs(self, instance, solver, width):
+        cfg, models, solvers = self.lanes(instance, solver, width)
+        self.assert_lanes_equal_one_lane_runs(cfg, models, solvers, 150)
 
     @pytest.mark.parametrize("solver", ["exact", "coin-exact"])
     def test_lanes_cross_the_noise_chunks(self, solver):
         # 1100 rounds span two chunks of drawn noise and log evaluations.
         cfg, models, solvers = self.lanes("table-K3-cap-above", solver, 3, seed=1)
-        alone_obs = [Recorder() for _ in models]
-        alone_seen = [History() for _ in models]
-        alone = [
-            run(m, s, cfg, 1100, observer=o, sink=h)
-            for m, s, o, h in zip(models, solvers(), alone_obs, alone_seen)
-        ]
-        block_obs = [Recorder() for _ in models]
-        block_seen = [History() for _ in models]
-        block = run(models, solvers(), cfg, 1100, observer=block_obs, sink=block_seen)
-        for lane in zip(block, alone, block_obs, alone_obs, block_seen, alone_seen):
-            assert_same_run(*lane)
+        self.assert_lanes_equal_one_lane_runs(cfg, models, solvers, 1100)
 
     def test_coins_flip_once_per_lane_and_round(self):
         cfg, models, solvers = self.lanes("table-K2-cap-above", "coin-exact", 4)
@@ -604,27 +584,31 @@ class TestLockstep:
         assert [s.calls for s in block_solvers] == [300] * 4
 
     def test_internals_and_history_per_lane(self):
-        # Observers on one lane and a sink on the other, against lanes run
-        # alone with both and a block run with neither.
+        # One observer and one sink see the whole block, lanes in order:
+        # each lane's slice equals that lane run alone, and a block run
+        # with neither callback plays the same rounds.
         cfg, models, solvers = self.lanes("concave-K2-cap-below", "exact", 2)
-        alone_obs = [Recorder() for _ in models]
-        alone_seen = [History() for _ in models]
-        alone = [
-            run(m, s, cfg, 120, observer=o, sink=h)
-            for m, s, o, h in zip(models, solvers(), alone_obs, alone_seen)
-        ]
-        got_obs, got_seen = Recorder(), History()
-        run(
-            models, solvers(), cfg, 120, observer=[got_obs, None], sink=[None, got_seen]
+        block, seen, history = self.assert_lanes_equal_one_lane_runs(
+            cfg, models, solvers, 120
         )
-        assert np.array_equal(got_obs.emp_means, alone_obs[0].emp_means)
-        assert np.array_equal(got_obs.radii, alone_obs[0].radii)
-        assert np.array_equal(got_seen.levels, alone_seen[1].levels)
-        assert np.array_equal(got_seen.rewards, alone_seen[1].rewards)
+        assert seen.emp_means.shape == seen.radii.shape == (120, 2, 2, 6)
+        assert [c[1].shape for c in history.chunks] == [(2, 120, 2)]
+        assert [c[3].shape for c in history.chunks] == [(2, 120)]
         bare = run(models, solvers(), cfg, 120)
-        for lean, want in zip(bare, alone):
+        for lean, want in zip(bare, block):
             assert np.array_equal(lean.expected, want.expected)
             assert np.array_equal(lean.stats.counts, want.stats.counts)
+            assert np.array_equal(lean.stats.emp_means, want.stats.emp_means)
+
+    def test_callbacks_are_one_callable(self):
+        # A per-lane list of callbacks is refused before round 1.
+        cfg, models, solvers = self.lanes("table-K2-cap-above", "exact", 2)
+        observers, sinks = [Recorder(), Recorder()], [History(), History()]
+        with pytest.raises(ValueError, match="observer must be one callable"):
+            run(models, solvers(), cfg, 10, observer=observers)
+        with pytest.raises(ValueError, match="sink must be one callable"):
+            run(models, solvers(), cfg, 10, sink=sinks)
+        assert not any(o.seen for o in observers) and not any(h.chunks for h in sinks)
 
     def test_lane_validation(self):
         cfg, models, solvers = self.lanes("table-K2-cap-above", "exact", 2)
