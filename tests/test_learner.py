@@ -376,6 +376,22 @@ class TestRun:
 
     @pytest.mark.slow
     def test_peak_memory_per_round(self):
+        # A sink that keeps nothing adds one reward buffer of a chunk of
+        # rounds, so the run still holds only its 8 bytes of expected values
+        # per round.
+        model, cfg = flat_model(), native_cfg()
+        solver = ExactDpSolver(cfg)
+        horizon = 100_000
+        tracemalloc.start()
+        try:
+            run(model, solver, cfg, horizon, sink=lambda *chunk: None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / horizon < 12
+
+    @pytest.mark.slow
+    def test_peak_memory_per_round_without_history(self):
         # Without a sink, a lane's only per-round memory is its 8 bytes of
         # expected values; its levels go to one buffer of a chunk of rounds.
         model, cfg = flat_model(), native_cfg()
