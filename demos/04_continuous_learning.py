@@ -21,10 +21,11 @@ from banditalloc import (
     OracleSpec,
     ProblemConfig,
     RewardModel,
+    build_solver,
     compute_continuous_reference,
     compute_opt,
     plan_discretization,
-    run_discretized,
+    run,
     split_discretization_regret,
 )
 from banditalloc.streams import mix_seed
@@ -51,13 +52,30 @@ for horizon in (1_000, 10_000, 100_000):
     print(f"{horizon:>7}   {plan.levels:>6}   {plan.pitch:.4f}")
 
 # ---------------------------------------------------------------------------
-# Run at two horizons and split the regret.
+# Run at two horizons and split the regret. Each run is the one
+# run_discretized makes (plan the grid, build the solver, run the learner),
+# written out so that a sink can keep the per-round expected rewards.
+def expected_rewards(model, cfg, horizon):
+    """Run the learner; return the (T,) true expected reward of each round's
+    allocation, which its sink is shown one chunk of rounds at a time."""
+    chunks = []
+
+    def keep(start, levels, rewards, expected):
+        chunks.append(expected.copy())
+
+    run(model, build_solver(OracleSpec(), cfg), cfg, horizon, sink=keep)
+    return np.concatenate(chunks)
+
+
 for horizon in (2_000, 20_000):
     model = RewardModel.concave_exp(PROBS, THETAS, rng_seed=mix_seed(5, 0))
-    trace, plan = run_discretized(model, OracleSpec(), BUDGET, horizon=horizon)
+    plan = plan_discretization(
+        1.0, BUDGET, model.lipschitz_constant(), model.k_count, horizon
+    )
     cfg = ProblemConfig(resources=2, budget=BUDGET, space=plan.grid)
+    expected = expected_rewards(model, cfg, horizon)
     grid_opt = compute_opt(model, cfg)
-    report = split_discretization_regret(trace, grid_opt, reference)
+    report = split_discretization_regret(expected, grid_opt, reference)
     print(f"\nT={horizon}: grid of {plan.levels} levels, pitch {plan.pitch:.4f}")
     print(f"  regret {report.final:9.2f}  = learning {report.term_learning:.2f}"
           f" + discretization {report.term_discretization:.2f}")

@@ -1,10 +1,10 @@
 """Regret accounting, instance gap structure, and bound evaluators.
 
-Everything here consumes run traces and closed-form environment means;
-nothing feeds back into the learner. Regret is measured against the
-benchmark the caller passes: the optimum for an exact oracle, or the scaled
-alpha * beta * opt, the yardstick a (alpha, beta)-limited offline solver can
-actually be held to.
+Everything here consumes the expected values a run's sink is shown and
+closed-form environment means; nothing feeds back into the learner. Regret
+is measured against the benchmark the caller passes: the optimum for an
+exact oracle, or the scaled alpha * beta * opt, the yardstick a
+(alpha, beta)-limited offline solver can actually be held to.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import numpy as np
 
 from .core import ActionSpace, ProblemConfig, iter_feasible_levels
 from .environment import RewardModel
-from .learner import RunTrace
 from .oracle import ExactDpSolver
 
 #: Refuse to enumerate action spaces larger than this (n ** resources rows).
@@ -193,20 +192,20 @@ def compute_gaps(
     )
 
 
-def regret_series(trace: RunTrace, opt: float) -> RegretReport:
-    """Cumulative regret of a run against a benchmark opt.
+def regret_series(expected: np.ndarray, opt: float) -> RegretReport:
+    """Cumulative regret against a benchmark opt of a run whose (T,)
+    per-round expected values, as its sink was shown them, are ``expected``.
 
     For an (alpha, beta) oracle pass alpha * beta * opt. Negative values are
     meaningful there (the run can beat the scaled benchmark) and are
     preserved, not clipped.
     """
-    per_round = opt - trace.expected
-    series = np.cumsum(per_round)
+    series = np.cumsum(opt - expected)
     return RegretReport(series=series, final=float(series[-1]))
 
 
 def split_discretization_regret(
-    trace: RunTrace,
+    expected: np.ndarray,
     grid_opt: float,
     reference: ReferenceInterval,
 ) -> RegretReport:
@@ -218,9 +217,9 @@ def split_discretization_regret(
     T * (reference.hi - grid_opt). The two terms sum to the final value up to
     float rounding.
     """
-    horizon = len(trace)
-    report = regret_series(trace, reference.hi)
-    learning = grid_opt * horizon - float(trace.expected.sum())
+    horizon = len(expected)
+    report = regret_series(expected, reference.hi)
+    learning = grid_opt * horizon - float(expected.sum())
     price = horizon * (reference.hi - grid_opt)
     return RegretReport(
         series=report.series,

@@ -39,6 +39,7 @@ from .analysis import (
     dependent_regret_bound,
     independent_regret_bound,
     reference_memory_bytes,
+    regret_series,
 )
 from .continuous import DEFAULT_MAX_LEVELS, plan_discretization
 from .core import ActionSpace, ProblemConfig, iter_feasible_levels
@@ -512,19 +513,27 @@ def _bandit_task(payload: tuple) -> list[tuple[np.ndarray, list[int]]]:
     The learner is anytime: round t's radius, noise and coin flips do not
     depend on the horizon, so the run of horizon h is the first h rounds of
     this one. Each horizon's trace file holds that prefix, and its
-    violation count covers rounds 1..h. One coverage observer and one trace
-    sink serve the block; the trace files move into place when it returns.
+    violation count covers rounds 1..h. One coverage observer and one sink,
+    which keeps the expected values and feeds any trace files, serve the
+    block; the trace files move into place when it returns.
     ``config_hash`` is the config's, computed once by the parent."""
     config, config_hash, cfg, horizons, block, out = payload
     seeds = [streams.mix_seed(config.seed, rep) for rep in block]
     models = [build_model(config, rng_seed) for rng_seed in seeds]
     solvers = [build_solver(config.oracle, cfg, seed=rng_seed) for rng_seed in seeds]
     observer = CoverageObserver(models[0].mean_matrix(cfg.space), horizons)
+    expected = np.empty((len(block), horizons[-1]))
     with ExitStack() as files:
-        sink = _trace_sink(files, payload, seeds) if config.write_traces else None
-        traces = run(models, solvers, cfg, horizons[-1], observer=observer, sink=sink)
+        write = _trace_sink(files, payload, seeds) if config.write_traces else None
+
+        def sink(start, levels, rewards, chunk) -> None:
+            expected[:, start - 1:start - 1 + chunk.shape[1]] = chunk
+            if write is not None:
+                write(start, levels, rewards, chunk)
+
+        run(models, solvers, cfg, horizons[-1], observer=observer, sink=sink)
     counts = zip(*(observer.counts_at[h].tolist() for h in horizons))
-    return [(trace.expected, list(lane)) for trace, lane in zip(traces, counts)]
+    return [(exp, list(lane)) for exp, lane in zip(expected, counts)]
 
 
 def _workers(jobs: int, tasks: int) -> int:
@@ -650,7 +659,7 @@ def _replications(
     at most one process pool, and each group's replications are folded in
     index order as they arrive. The curve sums are the sums over
     replications of the cumulative regret and of its square. A group keeps
-    one (longest,) pair: np.cumsum adds in order and the fold is
+    one (longest,) pair: regret_series adds in order and the fold is
     elementwise, so the first h entries are exactly what a run of horizon h
     alone would give."""
     reps = config.replications
@@ -672,7 +681,7 @@ def _replications(
             cum_sum = np.zeros(horizons[-1])
             cum_sq = np.zeros(horizons[-1])
             for _, (expected, counts) in zip(range(reps), results):
-                series = np.cumsum(benchmark - expected)
+                series = regret_series(expected, benchmark).series
                 for horizon, violations in zip(horizons, counts):
                     finals[horizon].append(float(series[horizon - 1]))
                     coverage[horizon].append(violations)

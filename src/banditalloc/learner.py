@@ -26,10 +26,11 @@ solver's backward pass cost one set of numpy calls per round for the whole
 block. The reward transform, the range check, the fold and the coin flips
 stay per lane, in the one-lane order, so every lane's trace equals the trace
 of that lane run alone. A one-lane run is the same loop with R = 1. run
-keeps no history: a trace holds the expected values and the end-of-run
-statistics, and the per-round means and radii leave it only through its one
-observer, once per round, and the played levels and rewards only through its
-one sink, once per chunk; each is shown the whole block.
+holds nothing that grows with the horizon: a trace holds the end-of-run
+statistics, the per-round means and radii leave the run only through its
+one observer, and the played levels, rewards and expected values only
+through its one sink, once per chunk; each is shown the whole block. Only a
+sink makes run read the true means, for the expected values it is shown.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .environment import RewardModel
 from .oracle import _lane_solver, _SolverBase, allocation_value
 
 # Rounds per chunk in run(): one batch of log evaluations, one block of
-# drawn noise, one buffer of levels and one sink call.
+# drawn noise, one list of levels and rewards per lane and one sink call.
 _CHUNK = 1024
 
 Observer = Callable[[int, np.ndarray, np.ndarray], None]  # see run
@@ -73,14 +74,10 @@ def _fold(counts, emp_means, levels, rewards) -> None:
 
 @dataclass
 class RunTrace:
-    """Per-round expected values and end-of-run statistics of one run."""
+    """End-of-run statistics of one run; per-round values go to its sink."""
 
-    expected: np.ndarray  # (T,) true expected total reward of the played allocation
     config: ProblemConfig
     stats: ArmStats  # end-of-run counts and empirical means
-
-    def __len__(self) -> int:
-        return self.expected.shape[0]
 
 
 def run(
@@ -113,16 +110,15 @@ def run(
         (rounds, K) and (rounds,) arrays; with lanes each has a leading axis
         of the R lanes, in order. The arrays are views of buffers the run
         reuses; callbacks must not mutate them, and copy what they keep.
-        They are the one way to see the per-round statistics and the played
-        levels and rewards, and the observer is the hook for diagnostics
-        that need the true means, which the learner itself never sees.
+        They are the one way to see anything per round. The expected values
+        are the true expected total rewards of the played allocations, read
+        from the models' closed-form means for the sink alone: a run without
+        a sink never reads those means, and no decision depends on them.
 
     Returns
     -------
     RunTrace, or a list of them with lanes
-        Per-round true expected values and end-of-run statistics. The
-        expected-value channel is computed from the model's closed-form
-        means purely for analysis; no decision depends on it.
+        End-of-run statistics.
     """
     lanes = not isinstance(model, RewardModel)
     models, solvers = (list(model), list(solver)) if lanes else ([model], [solver])
@@ -161,13 +157,10 @@ def run(
     radii = np.empty(shape)
     upper = np.empty(shape)
 
-    means = [m.mean_matrix(cfg.space) for m in models]
-    expected = np.empty((len(models), horizon))
-    # Each chunk's levels are played into one buffer, which is all the
-    # expected values need; its rewards are kept only for a sink.
-    rows = (len(models), _CHUNK, resources)
-    played = np.empty(rows, dtype=np.int64)
-    seen = None if sink is None else np.empty(rows)
+    # With a sink, each lane keeps its levels and rewards of a chunk in flat
+    # lists, converted once per chunk (cheaper than a row per round), and
+    # the chunk's expected values are read from the lanes' true means.
+    means = [m.mean_matrix(cfg.space) for m in models] if sink is not None else None
     # The callbacks see the block with lanes and lane 0 in a one-lane run.
     shown = slice(None) if lanes else 0
     shown_emp, shown_radii = emp_means[shown], radii[shown]
@@ -175,7 +168,6 @@ def run(
     for start in range(1, horizon + 1, _CHUNK):
         stop = min(start + _CHUNK, horizon + 1)
         rounds = stop - start
-        chunk = slice(start - 1, stop - 1)
         half_logs = (1.5 * np.log(np.arange(start, stop, dtype=np.float64))).tolist()
         if start == 1:
             # Every arm is untried in round 1, where ln 1 = 0 would give 0 / 0.
@@ -183,10 +175,8 @@ def run(
         # Philox addressing gives a round the same uniforms in any block;
         # row i of a lane's (rounds, K) uniforms belongs to round start + i.
         block = [
-            (r, m, table, m.uniform_block(resource_ids, start, rounds).T, *lane)
-            for r, (m, table, *lane) in enumerate(
-                zip(models, tables, counts, emp_means, played)
-            )
+            (m, table, m.uniform_block(resource_ids, start, rounds).T, *lane, [], [])
+            for m, table, *lane in zip(models, tables, counts, emp_means)
         ]
         for i, half_log in enumerate(half_logs):
             with np.errstate(divide="ignore"):
@@ -197,24 +187,27 @@ def run(
             np.add(emp_means, radii, out=upper)
             chosen = solve(np.minimum(upper, 1.0, out=upper))
             for lane, levels in zip(block, chosen):
-                r, m, table, uniforms, lane_counts, lane_emp, lane_played = lane
+                m, table, uniforms, lane_counts, lane_emp, lane_played, lane_seen = lane
                 rewards = m.rewards_from_uniforms(table, levels, uniforms[i])
                 for reward in rewards:  # written so that NaN fails too
                     if not 0.0 <= reward <= 1.0:
                         raise AssertionError("environment produced a reward outside [0, 1]")
-                lane_played[i] = levels
-                if seen is not None:
-                    seen[r, i] = rewards
-                _fold(lane_counts, lane_emp, levels.tolist(), rewards)
-        # allocation_value folds each round's levels from the last resource
-        # back, the same doubles whatever the chunking.
-        for exp, lane_means, lane_played in zip(expected, means, played):
-            exp[chunk] = allocation_value(lane_means, lane_played[:rounds])
+                levels = levels.tolist()
+                if sink is not None:
+                    lane_played.extend(levels)
+                    lane_seen.extend(rewards)
+                _fold(lane_counts, lane_emp, levels, rewards)
         if sink is not None:
-            sink(start, played[shown, :rounds], seen[shown, :rounds], expected[shown, chunk])
+            shape = (len(block), rounds, resources)
+            played = np.array([lane[-2] for lane in block], dtype=np.int64).reshape(shape)
+            rewards = np.array([lane[-1] for lane in block]).reshape(shape)
+            # allocation_value folds each round's levels from the last
+            # resource back, the same doubles whatever the chunking.
+            expected = np.array([allocation_value(mu, lv) for mu, lv in zip(means, played)])
+            sink(start, played[shown], rewards[shown], expected[shown])
 
     traces = [
-        RunTrace(exp, cfg, ArmStats(lane_counts.astype(np.int64), lane_emp.copy()))
-        for exp, lane_counts, lane_emp in zip(expected, counts, emp_means)
+        RunTrace(cfg, ArmStats(lane_counts.astype(np.int64), lane_emp.copy()))
+        for lane_counts, lane_emp in zip(counts, emp_means)
     ]
     return traces if lanes else traces[0]

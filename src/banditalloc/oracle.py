@@ -56,18 +56,14 @@ def allocation_value(means: np.ndarray, levels) -> float:
 
     Accumulated from the last resource backwards, matching the dynamic
     program's internal fold bit for bit, so optimality checks against plain
-    enumeration can use == instead of a tolerance. Given a (T, K) array of
-    level vectors, returns the (T,) values of its rows, folded the same way.
+    enumeration can use == instead of a tolerance. Given a (..., K) array
+    of level vectors, returns the (...) values of its rows, folded the same
+    way; one level vector gives a float.
     """
-    if isinstance(levels, np.ndarray) and levels.ndim == 2:
-        totals = np.zeros(levels.shape[0])
-        for k in range(levels.shape[1] - 1, -1, -1):
-            totals += means[k, levels[:, k]]
-        return totals
     total = 0.0
-    for k in range(len(levels) - 1, -1, -1):
-        total = total + means[k, levels[k]]
-    return float(total)
+    for row, column in zip(means[::-1], np.asarray(levels).T[::-1]):
+        total = total + row[column]
+    return total if np.ndim(total) else float(total)
 
 
 def _check_means(means: np.ndarray, cfg: ProblemConfig) -> np.ndarray:

@@ -25,3 +25,14 @@ class History:
     @property
     def expected(self):
         return np.concatenate([exp for _, _, _, exp in self.chunks], axis=-1)
+
+
+class Expected:
+    """A run sink that copies only the expected values into a preallocated
+    (T,) array, (R, T) with lanes, and keeps no levels or rewards."""
+
+    def __init__(self, horizon, lanes=None):
+        self.values = np.empty(horizon if lanes is None else (lanes, horizon))
+
+    def __call__(self, start, levels, rewards, expected):
+        self.values[..., start - 1 : start - 1 + expected.shape[-1]] = expected

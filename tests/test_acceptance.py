@@ -25,7 +25,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import History
+from conftest import Expected, History
 
 from banditalloc import (
     ActionSpace,
@@ -46,7 +46,6 @@ from banditalloc import (
     plan_discretization,
     regret_series,
     run,
-    run_discretized,
     scaling_check,
     solve_exact_dp,
     split_discretization_regret,
@@ -101,17 +100,20 @@ def mean_regret_curve() -> np.ndarray:
     opt = compute_opt(RewardModel.table(REFERENCE_PROBS, rng_seed=0), cfg)
     readings = np.empty((REPLICATIONS, len(CHECKPOINTS)))
     # The replications run as one block of lanes in lockstep; each lane's
-    # trace is the trace of that replication run alone.
+    # expected values are those of that replication run alone. The sink
+    # keeps only the expected values.
     models = [
         RewardModel.table(REFERENCE_PROBS, rng_seed=mix_seed(NOISE_SEED, rep))
         for rep in range(REPLICATIONS)
     ]
-    traces = run(models, [solver] * REPLICATIONS, cfg, CHECKPOINTS[-1])
-    for rep, (model, trace) in enumerate(zip(models, traces)):
+    block = Expected(CHECKPOINTS[-1], lanes=REPLICATIONS)
+    run(models, [solver] * REPLICATIONS, cfg, CHECKPOINTS[-1], sink=block)
+    for rep, (model, expected) in enumerate(zip(models, block.values)):
         if rep == 0:
-            short = run(model, solver, cfg, 1_000)
-            assert np.array_equal(short.expected, trace.expected[:1_000])
-        series = regret_series(trace, opt).series
+            short = Expected(1_000)
+            run(model, solver, cfg, 1_000, sink=short)
+            assert np.array_equal(short.values, expected[:1_000])
+        series = regret_series(expected, opt).series
         readings[rep] = series[np.asarray(CHECKPOINTS) - 1]
     return readings.mean(axis=0)
 
@@ -265,10 +267,17 @@ def test_normalized_continuous_regret_levels_off():
     finals: dict[int, float] = {}
     terms = []
     for horizon in SMOOTH_HORIZONS:
-        trace, plan = run_discretized(model, OracleSpec(), 1.0, horizon)
-        finals[horizon] = horizon * reference.hi - float(trace.expected.sum())
+        # The run run_discretized makes, with a sink that keeps only the
+        # expected values.
+        plan = plan_discretization(
+            1.0, 1.0, model.lipschitz_constant(), model.k_count, horizon
+        )
+        cfg = ProblemConfig(resources=model.k_count, budget=1.0, space=plan.grid)
+        sink = Expected(horizon)
+        run(model, build_solver(OracleSpec(), cfg), cfg, horizon, sink=sink)
+        finals[horizon] = horizon * reference.hi - float(sink.values.sum())
         split = split_discretization_regret(
-            trace, compute_opt(model, trace.config), reference
+            sink.values, compute_opt(model, cfg), reference
         )
         law = horizon ** (2.0 / 3.0) * math.log(horizon) ** (1.0 / 3.0)
         terms.append(

@@ -4,22 +4,24 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import History
 
 from banditalloc import (
     ActionSpace,
-    ArmStats,
     BoundParams,
     CoverageObserver,
     EnumerationInfeasibleError,
     ExactDpSolver,
+    OracleSpec,
     ProblemConfig,
     RewardModel,
-    RunTrace,
+    build_solver,
     compute_continuous_reference,
     compute_gaps,
     compute_opt,
     dependent_regret_bound,
     independent_regret_bound,
+    plan_discretization,
     regret_series,
     run,
     scaling_check,
@@ -30,18 +32,6 @@ from banditalloc import (
 def native_cfg(resources=2, budget=2.0, n=3):
     return ProblemConfig(
         resources=resources, budget=budget, space=ActionSpace.integer_levels(n)
-    )
-
-
-def stub_trace(expected, cfg):
-    horizon = len(expected)
-    return RunTrace(
-        expected=np.asarray(expected, dtype=np.float64),
-        config=cfg,
-        stats=ArmStats(
-            np.zeros((cfg.resources, cfg.space.n), dtype=np.int64),
-            np.zeros((cfg.resources, cfg.space.n)),
-        ),
     )
 
 
@@ -230,14 +220,12 @@ class TestComputeGaps:
 
 class TestRegretSeries:
     def test_cumulative_arithmetic(self):
-        cfg = native_cfg(resources=1, budget=1.0, n=2)
-        report = regret_series(stub_trace([0.6, 0.6], cfg), opt=1.0)
+        report = regret_series(np.array([0.6, 0.6]), opt=1.0)
         assert report.series.tolist() == [0.4, 0.8]
         assert report.final == pytest.approx(0.8)
 
     def test_scaled_benchmark_can_go_negative(self):
-        cfg = native_cfg(resources=1, budget=1.0, n=2)
-        report = regret_series(stub_trace([0.6, 0.6, 0.6], cfg), opt=0.5)
+        report = regret_series(np.array([0.6, 0.6, 0.6]), opt=0.5)
         assert report.final == pytest.approx(-0.3)
         assert np.all(np.diff(report.series) < 0)
 
@@ -246,28 +234,30 @@ class TestRegretSeries:
         # no float noise can push per-round regret below zero
         cfg = native_cfg()
         model = RewardModel.table([[0.1, 0.6, 0.3], [0.2, 0.4, 0.9]], rng_seed=29)
-        trace = run(model, ExactDpSolver(cfg), cfg, 400)
-        report = regret_series(trace, compute_opt(model, cfg))
+        history = History()
+        run(model, ExactDpSolver(cfg), cfg, 400, sink=history)
+        report = regret_series(history.expected, compute_opt(model, cfg))
         assert report.series[0] >= 0.0
         assert np.all(np.diff(report.series) >= 0.0)
 
 
 class TestSplitDiscretizationRegret:
     def test_terms_sum_to_the_total(self):
-        from banditalloc import OracleSpec, run_discretized
-
+        # The run run_discretized makes, with a sink attached.
         model = RewardModel.concave_exp([0.9, 0.7], [0.8, 0.5], rng_seed=3)
-        trace, plan = run_discretized(model, OracleSpec(), budget=1.0, horizon=250)
+        plan = plan_discretization(1.0, 1.0, model.lipschitz_constant(), 2, 250)
         cfg = ProblemConfig(resources=2, budget=1.0, space=plan.grid)
+        history = History()
+        run(model, build_solver(OracleSpec(), cfg), cfg, 250, sink=history)
         grid_opt = compute_opt(model, cfg)
         ref = compute_continuous_reference(model, 1.0, refinement=512)
-        report = split_discretization_regret(trace, grid_opt, ref)
+        report = split_discretization_regret(history.expected, grid_opt, ref)
         assert report.term_learning + report.term_discretization == pytest.approx(
             report.final, rel=1e-9
         )
         assert report.term_discretization >= 0.0
         assert report.final == pytest.approx(
-            250 * ref.hi - trace.expected.sum(), rel=1e-12
+            250 * ref.hi - history.expected.sum(), rel=1e-12
         )
 
 
@@ -375,10 +365,11 @@ class TestScalingCheck:
             scaling_check({100: 1.0, 1000: 1.0, 10_000: 1.0}, slack=-0.1)
 
 
-def violating_rounds(model, cfg, horizon, observer):
+def violating_rounds(model, cfg, horizon, observer, truth):
     """Run the exact-DP learner, showing each round's start-of-round
     statistics to a recorder and then to ``observer``; return which rounds
-    had some arm outside its confidence interval, |emp - true| >= radius."""
+    had some arm outside its confidence interval around ``truth``,
+    |emp - truth| >= radius."""
     emp, radii = [], []
 
     def record_then_observe(t, emp_means, radii_now):
@@ -387,7 +378,7 @@ def violating_rounds(model, cfg, horizon, observer):
         observer(t, emp_means, radii_now)
 
     run(model, ExactDpSolver(cfg), cfg, horizon, observer=record_then_observe)
-    outside = np.abs(np.array(emp) - model.mean_matrix(cfg.space)) >= np.array(radii)
+    outside = np.abs(np.array(emp) - truth) >= np.array(radii)
     return outside.any(axis=(1, 2))
 
 
@@ -395,17 +386,26 @@ class TestCoverage:
     def test_deterministic_instance_never_violates(self):
         cfg = native_cfg()
         model = RewardModel.table([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]], rng_seed=0)
-        observer = CoverageObserver(model.mean_matrix(cfg.space))
-        violating = violating_rounds(model, cfg, 500, observer)
+        truth = model.mean_matrix(cfg.space)
+        observer = CoverageObserver(truth)
+        violating = violating_rounds(model, cfg, 500, observer, truth)
         assert observer.count == 0
         assert not violating.any()
 
-    def test_streaming_observer_matches_batch(self):
+    @pytest.mark.parametrize("shift", [0.0, 0.2], ids=["true-means", "shifted"])
+    def test_streaming_observer_matches_batch(self, shift):
+        # The intervals almost never miss the true means in 800 rounds, so
+        # the shifted case holds the second resource's means 0.2 too high,
+        # as the block test below does, which puts real rounds through the
+        # observer's hit path.
         cfg = native_cfg()
         model = RewardModel.table([[0.1, 0.6, 0.3], [0.2, 0.4, 0.9]], rng_seed=41)
-        observer = CoverageObserver(model.mean_matrix(cfg.space))
-        violating = violating_rounds(model, cfg, 800, observer)
+        truth = model.mean_matrix(cfg.space) + [[0.0], [shift]]
+        observer = CoverageObserver(truth)
+        violating = violating_rounds(model, cfg, 800, observer, truth)
         assert observer.count == int(violating.sum())
+        if shift:
+            assert observer.count > 0
 
     def test_block_observer_matches_one_observer_per_lane(self):
         # One observer shown a three-lane block counts each lane as an

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -14,6 +15,8 @@ from banditalloc import (
     OracleSpec,
     ProblemConfig,
     RewardModel,
+    RunTrace,
+    allocation_value,
     build_solver,
     compute_opt,
     regret_series,
@@ -257,21 +260,23 @@ class TestSelectAllocation:
 
 class TestRun:
     def test_trace_shapes_and_ranges(self):
-        # 2100 rounds reach the sink as two full chunks and a short one.
+        # 2100 rounds reach the sink as two full chunks and a short one. The
+        # trace holds the end-of-run statistics and nothing per round.
         cfg = native_cfg()
-        model = flat_model(seed=5)
+        model = RewardModel.table([[0.1, 0.6, 0.3], [0.2, 0.4, 0.9]], rng_seed=5)
         history = History()
         trace = run(model, ExactDpSolver(cfg), cfg, 2100, sink=history)
-        assert len(trace) == 2100
-        assert trace.expected.shape == (2100,)
-        assert np.all((trace.expected >= 0) & (trace.expected <= 2))
+        assert [f.name for f in dataclasses.fields(RunTrace)] == ["config", "stats"]
+        assert history.expected.shape == (2100,)
+        assert np.all((history.expected >= 0) & (history.expected <= 2))
         chunks = [(1, 1024), (1025, 1024), (2049, 52)]
         assert [(start, len(exp)) for start, _, _, exp in history.chunks] == chunks
+        means = model.mean_matrix(cfg.space)
         for start, levels, rewards, exp in history.chunks:
             assert levels.shape == rewards.shape == (len(exp), 2)
             assert levels.dtype == np.int64
             assert np.all((rewards >= 0) & (rewards <= 1))
-            assert np.array_equal(exp, trace.expected[start - 1 : start - 1 + len(exp)])
+            assert np.array_equal(exp, allocation_value(means, levels))
 
     def test_every_arm_gets_tried(self):
         cfg = native_cfg()
@@ -312,8 +317,9 @@ class TestRun:
         # all levels pay the same, so every allocation is optimal
         cfg = native_cfg()
         model = flat_model(seed=11)
-        trace = run(model, ExactDpSolver(cfg), cfg, 300)
-        report = regret_series(trace, compute_opt(model, cfg))
+        history = History()
+        run(model, ExactDpSolver(cfg), cfg, 300, sink=history)
+        report = regret_series(history.expected, compute_opt(model, cfg))
         assert report.final == 0.0
         assert np.all(report.series == 0.0)
 
@@ -321,11 +327,11 @@ class TestRun:
         cfg = native_cfg()
         model = RewardModel.table([[0.1, 0.6, 0.3], [0.2, 0.4, 0.9]], rng_seed=13)
         seen_a, seen_b = History(), History()
-        a = run(model, ExactDpSolver(cfg), cfg, 150, sink=seen_a)
-        b = run(model, ExactDpSolver(cfg), cfg, 150, sink=seen_b)
+        run(model, ExactDpSolver(cfg), cfg, 150, sink=seen_a)
+        run(model, ExactDpSolver(cfg), cfg, 150, sink=seen_b)
         assert np.array_equal(seen_a.levels, seen_b.levels)
         assert np.array_equal(seen_a.rewards, seen_b.rewards)
-        assert np.array_equal(a.expected, b.expected)
+        assert np.array_equal(seen_a.expected, seen_b.expected)
 
     def test_converges_on_deterministic_instance(self):
         # rewards are 0/1 with certainty and the optimum is unique, so after
@@ -374,11 +380,29 @@ class TestRun:
         upper = np.minimum(1.0, seen.emp_means + seen.radii)
         assert np.all(upper >= seen.emp_means - 1e-12)
 
+    def test_no_sink_reads_no_true_means(self, monkeypatch):
+        # Only a sink is shown expected values, so a run without one never
+        # asks a model for its true means; with one, each lane asks once.
+        asked = []
+        mean_matrix = RewardModel.mean_matrix
+
+        def counted(model, space):
+            asked.append(model)
+            return mean_matrix(model, space)
+
+        monkeypatch.setattr(RewardModel, "mean_matrix", counted)
+        cfg = native_cfg()
+        models = [flat_model(seed=seed) for seed in range(3)]
+        run(models[0], ExactDpSolver(cfg), cfg, 50)
+        run(models, [ExactDpSolver(cfg)] * 3, cfg, 2000)
+        assert asked == []
+        run(models, [ExactDpSolver(cfg)] * 3, cfg, 2000, sink=lambda *chunk: None)
+        assert [id(m) for m in asked] == [id(m) for m in models]
+
     @pytest.mark.slow
     def test_peak_memory_per_round(self):
-        # A sink that keeps nothing adds one reward buffer of a chunk of
-        # rounds, so the run still holds only its 8 bytes of expected values
-        # per round.
+        # A sink that keeps nothing adds one chunk of levels, rewards and
+        # expected values to the fixed buffers, and nothing per round.
         model, cfg = flat_model(), native_cfg()
         solver = ExactDpSolver(cfg)
         horizon = 100_000
@@ -392,26 +416,29 @@ class TestRun:
 
     @pytest.mark.slow
     def test_peak_memory_per_round_without_history(self):
-        # Without a sink, a lane's only per-round memory is its 8 bytes of
-        # expected values; its levels go to one buffer of a chunk of rounds.
+        # Without a sink, a run keeps no levels or rewards and computes no
+        # expected values, so its peak does not grow with the horizon:
+        # 75,000 more rounds would add 600 KB at 8 bytes a round.
         model, cfg = flat_model(), native_cfg()
         solver = ExactDpSolver(cfg)
-        horizon = 100_000
-        tracemalloc.start()
-        try:
-            run(model, solver, cfg, horizon)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / horizon < 12
+        peaks = {}
+        for horizon in (25_000, 100_000):
+            tracemalloc.start()
+            try:
+                run(model, solver, cfg, horizon)
+                peaks[horizon] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[100_000] / 100_000 < 12
+        assert peaks[100_000] - peaks[25_000] < 16_000, peaks
 
     @pytest.mark.slow
     @pytest.mark.parametrize("lanes", [2, 5])
     def test_peak_memory_per_round_in_lockstep(self, lanes):
-        # A block of lanes keeps each lane's trace and nothing per round
-        # across lanes, so the one-lane bound holds per lane. Fewer rounds
-        # per lane than the one-lane run above leave the fixed buffers a
-        # larger share of the bound.
+        # A block of lanes keeps each lane's statistics and nothing per
+        # round, so the one-lane bound holds per lane. Fewer rounds per lane
+        # than the one-lane run above leave the fixed buffers a larger share
+        # of the bound.
         cfg = native_cfg()
         models = [flat_model(seed=seed) for seed in range(lanes)]
         solvers = [ExactDpSolver(cfg) for _ in models]
@@ -537,10 +564,9 @@ def assert_same_run(lane, got, want):
     assert np.array_equal(got_seen.rewards[lane], want_seen.rewards)
     assert np.array_equal(got_seen.expected[lane], want_seen.expected)
     assert [c[0] for c in got_seen.chunks] == [c[0] for c in want_seen.chunks]
-    assert np.array_equal(got.expected, want.expected)
     assert np.array_equal(got.stats.counts, want.stats.counts)
     assert np.array_equal(got.stats.emp_means, want.stats.emp_means)
-    assert len(got_obs.seen) == len(want_obs.seen) == len(want)
+    assert len(got_obs.seen) == len(want_obs.seen) == len(want_seen.expected)
     for (t, emp, radii), (t0, emp0, radii0) in zip(got_obs.seen, want_obs.seen):
         assert t == t0
         assert np.array_equal(emp[lane], emp0)
@@ -612,7 +638,6 @@ class TestLockstep:
         assert [c[3].shape for c in history.chunks] == [(2, 120)]
         bare = run(models, solvers(), cfg, 120)
         for lean, want in zip(bare, block):
-            assert np.array_equal(lean.expected, want.expected)
             assert np.array_equal(lean.stats.counts, want.stats.counts)
             assert np.array_equal(lean.stats.emp_means, want.stats.emp_means)
 

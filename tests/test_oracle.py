@@ -457,7 +457,7 @@ class TestCoinFlipOracle:
         got, want = traces
         assert np.array_equal(histories[0].levels, histories[1].levels)
         assert np.array_equal(histories[0].rewards, histories[1].rewards)
-        assert np.array_equal(got.expected, want.expected)
+        assert np.array_equal(histories[0].expected, histories[1].expected)
         assert np.array_equal(got.stats.counts, want.stats.counts)
         assert np.array_equal(got.stats.emp_means, want.stats.emp_means)
 

@@ -74,10 +74,10 @@ PARAMETERS = {
     "BoundParams": ["smoothness"],
     "CoinFlipOracle": ["base", "beta", "seed"],
     "compute_gaps": ["model", "cfg", "alpha"],
-    "regret_series": ["trace", "opt"],
+    "regret_series": ["expected", "opt"],
     "run": ["model", "solver", "cfg", "horizon", "observer", "sink"],
     "run_discretized": ["model", "oracle_spec", "budget", "horizon"],
-    "split_discretization_regret": ["trace", "grid_opt", "reference"],
+    "split_discretization_regret": ["expected", "grid_opt", "reference"],
 }
 
 
