@@ -19,13 +19,11 @@ import numpy as np
 
 from banditalloc import (
     OracleSpec,
-    ProblemConfig,
     RewardModel,
-    build_solver,
     compute_continuous_reference,
     compute_opt,
     plan_discretization,
-    run,
+    run_discretized,
     split_discretization_regret,
 )
 from banditalloc.streams import mix_seed
@@ -52,30 +50,20 @@ for horizon in (1_000, 10_000, 100_000):
     print(f"{horizon:>7}   {plan.levels:>6}   {plan.pitch:.4f}")
 
 # ---------------------------------------------------------------------------
-# Run at two horizons and split the regret. Each run is the one
-# run_discretized makes (plan the grid, build the solver, run the learner),
-# written out so that a sink can keep the per-round expected rewards.
-def expected_rewards(model, cfg, horizon):
-    """Run the learner; return the (T,) true expected reward of each round's
-    allocation, which its sink is shown one chunk of rounds at a time."""
+# Run at two horizons and split the regret. run_discretized plans the grid,
+# builds the solver and runs the learner; its sink is shown the true
+# expected reward of each round's allocation, one chunk of rounds at a time,
+# and keeps a copy of each chunk.
+for horizon in (2_000, 20_000):
+    model = RewardModel.concave_exp(PROBS, THETAS, rng_seed=mix_seed(5, 0))
     chunks = []
 
     def keep(start, levels, rewards, expected):
         chunks.append(expected.copy())
 
-    run(model, build_solver(OracleSpec(), cfg), cfg, horizon, sink=keep)
-    return np.concatenate(chunks)
-
-
-for horizon in (2_000, 20_000):
-    model = RewardModel.concave_exp(PROBS, THETAS, rng_seed=mix_seed(5, 0))
-    plan = plan_discretization(
-        1.0, BUDGET, model.lipschitz_constant(), model.k_count, horizon
-    )
-    cfg = ProblemConfig(resources=2, budget=BUDGET, space=plan.grid)
-    expected = expected_rewards(model, cfg, horizon)
-    grid_opt = compute_opt(model, cfg)
-    report = split_discretization_regret(expected, grid_opt, reference)
+    trace, plan = run_discretized(model, OracleSpec(), BUDGET, horizon, sink=keep)
+    grid_opt = compute_opt(model, trace.config)
+    report = split_discretization_regret(np.concatenate(chunks), grid_opt, reference)
     print(f"\nT={horizon}: grid of {plan.levels} levels, pitch {plan.pitch:.4f}")
     print(f"  regret {report.final:9.2f}  = learning {report.term_learning:.2f}"
           f" + discretization {report.term_discretization:.2f}")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import ActionSpace, ProblemConfig
 from .environment import RewardModel
-from .learner import RunTrace, run
+from .learner import Observer, RunTrace, Sink, run
 from .oracle import OracleSpec, build_solver
 
 # Hard ceiling on grid size; beyond this the per-arm exploration cost
@@ -96,6 +96,8 @@ def run_discretized(
     oracle_spec: OracleSpec,
     budget: float,
     horizon: int,
+    observer: Observer | None = None,
+    sink: Sink | None = None,
 ) -> tuple[RunTrace, DiscretizationPlan]:
     """Plan a grid for the horizon and run the learner on it.
 
@@ -103,7 +105,8 @@ def run_discretized(
     lookup rejects table models. The hinge family carries its own budget,
     which must match ``budget``. The trace is identical to running the
     discrete learner on the planned grid with build_solver's default seed;
-    this function only automates the grid choice.
+    this function only automates the grid choice. ``observer`` and ``sink``
+    go to ``run`` unchanged.
     """
     lip = model.lipschitz_constant()
     if model.family == "hinge" and abs(model.budget - budget) > 1e-12:
@@ -113,5 +116,5 @@ def run_discretized(
     plan = plan_discretization(1.0, budget, lip, model.k_count, horizon)
     cfg = ProblemConfig(resources=model.k_count, budget=budget, space=plan.grid)
     solver = build_solver(oracle_spec, cfg)
-    trace = run(model, solver, cfg, horizon)
+    trace = run(model, solver, cfg, horizon, observer=observer, sink=sink)
     return trace, plan

@@ -44,7 +44,7 @@ from .analysis import (
 from .continuous import DEFAULT_MAX_LEVELS, plan_discretization
 from .core import ActionSpace, ProblemConfig, iter_feasible_levels
 from .environment import RewardModel
-from .learner import Sink, run
+from .learner import run
 from .oracle import ExactDpSolver, GreedySolver, OracleSpec, allocation_value, build_solver
 
 MODES = ("dra", "cra", "oracle-check", "bounds")
@@ -472,37 +472,6 @@ def _round_rows(*columns: np.ndarray, first: int = 1) -> Iterator[tuple]:
 # -- replication workers ------------------------------------------------------
 
 
-def _trace_sink(files: ExitStack, payload: tuple, seeds: list[int]) -> Sink:
-    """A run sink for the block of replications of a _bandit_task payload,
-    drawn from ``seeds``. It enters one _csv_file per replication and horizon
-    on ``files`` and appends each replication's rows of a chunk to the file
-    of every horizon the chunk reaches, up to that horizon."""
-    config, config_hash, cfg, horizons, block, out = payload
-    ids = range(1, cfg.resources + 1)
-    header = ["round", *(f"level_{k}" for k in ids), *(f"reward_{k}" for k in ids)]
-    header.append("expected_total")
-    space = cfg.space
-    grid = {"epsilon": repr(space.pitch), "N": space.n} if space.is_grid else {}
-    appends = []  # per replication, one append per horizon
-    for rep, rng_seed in zip(block, seeds):
-        appends.append([])
-        for horizon in horizons:
-            meta = {"config_hash": config_hash, "mode": config.mode, "horizon": horizon,
-                    "replication": rep, "rng_seed": rng_seed, **grid}
-            path = Path(out) / "traces" / f"trace_{config.mode}_T{horizon}_rep{rep}.csv"
-            appends[-1].append(files.enter_context(_csv_file(path, header, meta)))
-
-    def sink(start, levels, rewards, expected) -> None:
-        for lane, played, seen, exp in zip(appends, levels, rewards, expected):
-            for horizon, append in zip(horizons, lane):
-                if horizon >= start:
-                    rows = slice(horizon - start + 1)
-                    columns = (*played[rows].T, *seen[rows].T, exp[rows])
-                    append(_round_rows(*columns, first=start))
-
-    return sink
-
-
 def _bandit_task(payload: tuple) -> list[tuple[np.ndarray, list[int]]]:
     """Run one block of replications in lockstep, each once, to the longest
     of ``horizons``, on an instance the parent built; returns, per
@@ -512,24 +481,45 @@ def _bandit_task(payload: tuple) -> list[tuple[np.ndarray, list[int]]]:
 
     The learner is anytime: round t's radius, noise and coin flips do not
     depend on the horizon, so the run of horizon h is the first h rounds of
-    this one. Each horizon's trace file holds that prefix, and its
-    violation count covers rounds 1..h. One coverage observer and one sink,
-    which keeps the expected values and feeds any trace files, serve the
-    block; the trace files move into place when it returns.
-    ``config_hash`` is the config's, computed once by the parent."""
-    config, config_hash, cfg, horizons, block, out = payload
+    this one. Each horizon's violation count covers rounds 1..h. One
+    coverage observer and one sink serve the block. The sink keeps the
+    expected values and, with write_traces, appends each replication's rows
+    of a chunk to its trace file of every horizon the chunk reaches, up to
+    that horizon; one _csv_file per replication and horizon, moved into
+    place when the run returns. ``config_hash`` is the config's, computed
+    once by the parent."""
+    config, config_hash, cfg, horizons, block = payload
     seeds = [streams.mix_seed(config.seed, rep) for rep in block]
     models = [build_model(config, rng_seed) for rng_seed in seeds]
     solvers = [build_solver(config.oracle, cfg, seed=rng_seed) for rng_seed in seeds]
     observer = CoverageObserver(models[0].mean_matrix(cfg.space), horizons)
     expected = np.empty((len(block), horizons[-1]))
+    ids = range(1, cfg.resources + 1)
+    header = ["round", *(f"level_{k}" for k in ids), *(f"reward_{k}" for k in ids)]
+    header.append("expected_total")
+    space = cfg.space
+    grid = {"epsilon": repr(space.pitch), "N": space.n} if space.is_grid else {}
     with ExitStack() as files:
-        write = _trace_sink(files, payload, seeds) if config.write_traces else None
+        traced = zip(block, seeds) if config.write_traces else ()
+        appends = []  # per traced replication, one append per horizon
+        for rep, rng_seed in traced:
+            appends.append([])
+            for horizon in horizons:
+                meta = {"config_hash": config_hash, "mode": config.mode,
+                        "horizon": horizon, "replication": rep, "rng_seed": rng_seed,
+                        **grid}
+                name = f"trace_{config.mode}_T{horizon}_rep{rep}.csv"
+                path = Path(config.out) / "traces" / name
+                appends[-1].append(files.enter_context(_csv_file(path, header, meta)))
 
         def sink(start, levels, rewards, chunk) -> None:
             expected[:, start - 1:start - 1 + chunk.shape[1]] = chunk
-            if write is not None:
-                write(start, levels, rewards, chunk)
+            for lane, played, seen, exp in zip(appends, levels, rewards, chunk):
+                for horizon, append in zip(horizons, lane):
+                    if horizon >= start:
+                        rows = slice(horizon - start + 1)
+                        columns = (*played[rows].T, *seen[rows].T, exp[rows])
+                        append(_round_rows(*columns, first=start))
 
         run(models, solvers, cfg, horizons[-1], observer=observer, sink=sink)
     counts = zip(*(observer.counts_at[h].tolist() for h in horizons))
@@ -573,10 +563,6 @@ class ExperimentSummary:
     files: list = field(default_factory=list)
     ok: bool = True
     lines: list = field(default_factory=list)  # human-readable outcome lines
-
-
-def _std1(values: np.ndarray) -> float:
-    return float(np.std(values, ddof=1)) if values.size > 1 else 0.0
 
 
 def _instance_bounds(
@@ -648,26 +634,28 @@ def _instances(config: ExperimentConfig, model: RewardModel) -> Iterator[tuple]:
         yield tuple(horizons), cfg, gaps, scale * reference.hi, pitch
 
 
-def _replications(
-    config: ExperimentConfig, config_hash: str, model: RewardModel, out_dir: Path
-) -> Iterator[tuple]:
-    """(horizon, instance, gaps, grid pitch, finals, violation counts,
-    curve sums) for each horizon in order, over the groups of _instances.
-    Each group's replications are split into one contiguous block per
-    worker, and each block runs in lockstep in one learner call; every
-    (group, block) goes through one call of _map_ordered, so a run starts
-    at most one process pool, and each group's replications are folded in
-    index order as they arrive. The curve sums are the sums over
-    replications of the cumulative regret and of its square. A group keeps
-    one (longest,) pair: regret_series adds in order and the fold is
-    elementwise, so the first h entries are exactly what a run of horizon h
-    alone would give."""
+def _run_bandit_modes(config: ExperimentConfig, out_dir: Path) -> ExperimentSummary:
+    """Run every group of _instances and write its curve files, then the
+    aggregate file. Each group's replications are split into one contiguous
+    block per worker, and each block runs in lockstep in one learner call;
+    every (group, block) goes through one call of _map_ordered, so a run
+    starts at most one process pool, and each group's replications are
+    folded in index order as they arrive. The fold sums the cumulative
+    regret and its square over replications. A group keeps one (longest,)
+    pair: regret_series adds in order and the fold is elementwise, so the
+    first h entries are exactly what a run of horizon h alone would give."""
+    summary = ExperimentSummary()
+    config_hash = config.config_hash()
+    model0 = build_model(config, rng_seed=0)  # means only; the seed is unused
+    if config.write_traces:
+        (out_dir / "traces").mkdir(parents=True, exist_ok=True)
+
     reps = config.replications
-    groups = list(_instances(config, model))
+    groups = list(_instances(config, model0))
     workers = _workers(config.jobs, reps)
     cuts = [reps * i // workers for i in range(workers + 1)]
     payloads = [
-        (config, config_hash, cfg, horizons, range(lo, hi), str(out_dir))
+        (config, config_hash, cfg, horizons, range(lo, hi))
         for horizons, cfg, *_ in groups
         for lo, hi in zip(cuts, cuts[1:])
     ]
@@ -687,61 +675,40 @@ def _replications(
                     coverage[horizon].append(violations)
                 cum_sum += series
                 cum_sq += series * series
+
             for horizon in horizons:
-                yield (
-                    horizon, cfg, gaps, epsilon, finals[horizon], coverage[horizon],
-                    cum_sum[:horizon], cum_sq[:horizon],
+                curve_mean = cum_sum[:horizon] / reps
+                if reps > 1:
+                    var = (cum_sq[:horizon] - reps * curve_mean * curve_mean) / (reps - 1)
+                    curve_std = np.sqrt(np.maximum(var, 0.0))
+                else:
+                    curve_std = np.zeros(horizon)
+
+                dep, indep = _instance_bounds(config, cfg, horizon, gaps)
+                mean_regret = float(np.mean(finals[horizon]))
+                std_regret = float(np.std(finals[horizon], ddof=1)) if reps > 1 else 0.0
+                normalized = (
+                    mean_regret / _theorem2_rate(horizon) if epsilon is not None else None
                 )
+                summary.rows.append(
+                    [horizon, mean_regret, std_regret, dep, indep, normalized, epsilon,
+                     cfg.space.n, float(np.mean(coverage[horizon]))]
+                )
+                summary.rep_finals[horizon] = finals[horizon]
 
-
-def _run_bandit_modes(config: ExperimentConfig, out_dir: Path) -> ExperimentSummary:
-    summary = ExperimentSummary()
-    config_hash = config.config_hash()
-    model0 = build_model(config, rng_seed=0)  # means only; the seed is unused
-    if config.write_traces:
-        (out_dir / "traces").mkdir(parents=True, exist_ok=True)
-
-    reps = config.replications
-    for horizon, cfg, gaps, epsilon, finals, coverage, cum_sum, cum_sq in _replications(
-        config, config_hash, model0, out_dir
-    ):
-        finals_arr = np.asarray(finals)
-        curve_mean = cum_sum / reps
-        if reps > 1:
-            var = (cum_sq - reps * curve_mean * curve_mean) / (reps - 1)
-            curve_std = np.sqrt(np.maximum(var, 0.0))
-        else:
-            curve_std = np.zeros(horizon)
-
-        dep, indep = _instance_bounds(config, cfg, horizon, gaps)
-        mean_regret = float(np.mean(finals_arr))
-        std_regret = _std1(finals_arr)
-        normalized = (
-            mean_regret / _theorem2_rate(horizon) if epsilon is not None else None
-        )
-        summary.rows.append(
-            [horizon, mean_regret, std_regret, dep, indep, normalized, epsilon,
-             cfg.space.n, float(np.mean(coverage))]
-        )
-        summary.rep_finals[horizon] = finals
-
-        curve_path = out_dir / f"curve_T{horizon}.csv"
-        _write_csv(
-            curve_path,
-            ("round", "mean_cum_regret", "std_cum_regret"),
-            _round_rows(curve_mean, curve_std),
-            {
-                "config_hash": config_hash,
-                "mode": config.mode,
-                "horizon": horizon,
-                "replications": reps,
-            },
-        )
-        summary.files.append(curve_path)
-        summary.lines.append(
-            f"T={horizon}: mean regret {mean_regret:.4f} "
-            f"(std {std_regret:.4f}) over {reps} replications"
-        )
+                curve_path = out_dir / f"curve_T{horizon}.csv"
+                _write_csv(
+                    curve_path,
+                    ("round", "mean_cum_regret", "std_cum_regret"),
+                    _round_rows(curve_mean, curve_std),
+                    {"config_hash": config_hash, "mode": config.mode,
+                     "horizon": horizon, "replications": reps},
+                )
+                summary.files.append(curve_path)
+                summary.lines.append(
+                    f"T={horizon}: mean regret {mean_regret:.4f} "
+                    f"(std {std_regret:.4f}) over {reps} replications"
+                )
 
     aggregate_path = out_dir / "aggregate.csv"
     _write_csv(

@@ -37,15 +37,14 @@ from banditalloc import (
     ProblemConfig,
     RewardModel,
     allocation_value,
-    build_solver,
     compute_continuous_reference,
     compute_gaps,
     compute_opt,
     dependent_regret_bound,
     iter_feasible_levels,
-    plan_discretization,
     regret_series,
     run,
+    run_discretized,
     scaling_check,
     solve_exact_dp,
     split_discretization_regret,
@@ -147,14 +146,9 @@ def test_long_run_bookkeeping_invariants_hold():
     cfg = reference_cfg()
     table = RewardModel.table(REFERENCE_PROBS, rng_seed=mix_seed(NOISE_SEED, 0))
     smooth = RewardModel.concave_exp(SMOOTH_PROBS, SMOOTH_THETAS, rng_seed=17)
-    # The grid and solver run_discretized uses, run directly to attach an observer.
-    plan = plan_discretization(
-        1.0, 1.0, smooth.lipschitz_constant(), smooth.k_count, horizon
-    )
-    grid_cfg = ProblemConfig(resources=smooth.k_count, budget=1.0, space=plan.grid)
-    for model, solver, instance in (
-        (table, ExactDpSolver(cfg), cfg),
-        (smooth, build_solver(OracleSpec(), grid_cfg), grid_cfg),
+    for play in (
+        lambda **hooks: run(table, ExactDpSolver(cfg), cfg, horizon, **hooks),
+        lambda **hooks: run_discretized(smooth, OracleSpec(), 1.0, horizon, **hooks)[0],
     ):
         pessimistic = []
 
@@ -164,7 +158,7 @@ def test_long_run_bookkeeping_invariants_hold():
                 pessimistic.append(t)
 
         history = History()
-        trace = run(model, solver, instance, horizon, observer=observe, sink=history)
+        trace = play(observer=observe, sink=history)
         assert pessimistic == []
         space = trace.config.space
         counts = trace.stats.counts
@@ -267,17 +261,11 @@ def test_normalized_continuous_regret_levels_off():
     finals: dict[int, float] = {}
     terms = []
     for horizon in SMOOTH_HORIZONS:
-        # The run run_discretized makes, with a sink that keeps only the
-        # expected values.
-        plan = plan_discretization(
-            1.0, 1.0, model.lipschitz_constant(), model.k_count, horizon
-        )
-        cfg = ProblemConfig(resources=model.k_count, budget=1.0, space=plan.grid)
-        sink = Expected(horizon)
-        run(model, build_solver(OracleSpec(), cfg), cfg, horizon, sink=sink)
+        sink = Expected(horizon)  # keeps only the expected values
+        trace, plan = run_discretized(model, OracleSpec(), 1.0, horizon, sink=sink)
         finals[horizon] = horizon * reference.hi - float(sink.values.sum())
         split = split_discretization_regret(
-            sink.values, compute_opt(model, cfg), reference
+            sink.values, compute_opt(model, trace.config), reference
         )
         law = horizon ** (2.0 / 3.0) * math.log(horizon) ** (1.0 / 3.0)
         terms.append(

@@ -15,15 +15,14 @@ from banditalloc import (
     OracleSpec,
     ProblemConfig,
     RewardModel,
-    build_solver,
     compute_continuous_reference,
     compute_gaps,
     compute_opt,
     dependent_regret_bound,
     independent_regret_bound,
-    plan_discretization,
     regret_series,
     run,
+    run_discretized,
     scaling_check,
     split_discretization_regret,
 )
@@ -243,13 +242,10 @@ class TestRegretSeries:
 
 class TestSplitDiscretizationRegret:
     def test_terms_sum_to_the_total(self):
-        # The run run_discretized makes, with a sink attached.
         model = RewardModel.concave_exp([0.9, 0.7], [0.8, 0.5], rng_seed=3)
-        plan = plan_discretization(1.0, 1.0, model.lipschitz_constant(), 2, 250)
-        cfg = ProblemConfig(resources=2, budget=1.0, space=plan.grid)
         history = History()
-        run(model, build_solver(OracleSpec(), cfg), cfg, 250, sink=history)
-        grid_opt = compute_opt(model, cfg)
+        trace, _ = run_discretized(model, OracleSpec(), 1.0, 250, sink=history)
+        grid_opt = compute_opt(model, trace.config)
         ref = compute_continuous_reference(model, 1.0, refinement=512)
         report = split_discretization_regret(history.expected, grid_opt, ref)
         assert report.term_learning + report.term_discretization == pytest.approx(

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from conftest import History
 
-import banditalloc.continuous
 from banditalloc import (
     OracleSpec,
     ProblemConfig,
@@ -90,22 +89,13 @@ class TestPlanDiscretization:
             plan_discretization(1.0, 1.0, 1.0, 1, 10, max_levels=1)
 
 
-def with_history(monkeypatch):
-    """Attach a History sink to the run that run_discretized makes."""
-    history = History()
-
-    def run_with_sink(*args):
-        return run(*args, sink=history)
-
-    monkeypatch.setattr(banditalloc.continuous, "run", run_with_sink)
-    return history
-
-
 class TestRunDiscretized:
-    def test_delegates_exactly_to_the_discrete_learner(self, monkeypatch):
+    def test_delegates_exactly_to_the_discrete_learner(self):
         model = RewardModel.concave_exp([0.9, 0.7], [0.8, 0.5], rng_seed=21)
-        seen = with_history(monkeypatch)
-        trace, plan = run_discretized(model, OracleSpec(), budget=1.0, horizon=300)
+        seen = History()
+        trace, plan = run_discretized(
+            model, OracleSpec(), budget=1.0, horizon=300, sink=seen
+        )
         cfg = ProblemConfig(resources=2, budget=1.0, space=plan.grid)
         direct_seen = History()
         direct = run(
@@ -129,11 +119,13 @@ class TestRunDiscretized:
         plan_smooth = plan_discretization(1.0, 1.0, 0.5, 1, 100)
         assert plan_smooth.levels < plan_default.levels  # smoother: coarser grid
 
-    def test_single_resource_converges_to_full_budget(self, monkeypatch):
+    def test_single_resource_converges_to_full_budget(self):
         # deterministic concave returns: the best grid point is the budget
         model = RewardModel.concave_exp([1.0], [1.0], rng_seed=7)
-        seen = with_history(monkeypatch)
-        _, plan = run_discretized(model, OracleSpec(), budget=1.0, horizon=2000)
+        seen = History()
+        _, plan = run_discretized(
+            model, OracleSpec(), budget=1.0, horizon=2000, sink=seen
+        )
         cfg = ProblemConfig(resources=1, budget=1.0, space=plan.grid)
         opt = compute_opt(model, cfg)
         tail = seen.expected[-400:]

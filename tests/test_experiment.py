@@ -557,9 +557,17 @@ class TestDraRuns:
         ).read_bytes()
 
 
-def test_parallel_jobs_do_not_change_bytes(tmp_path):
+@pytest.mark.parametrize(
+    "raw",
+    [
+        dra_dict(replications=4, horizons=[40, 120], write_traces=True),
+        # Grid traces carry epsilon and N in their metadata.
+        cra_dict(replications=4, write_traces=True),
+    ],
+    ids=["dra", "cra"],
+)
+def test_parallel_jobs_do_not_change_bytes(tmp_path, raw):
     serial_dir, parallel_dir = tmp_path / "serial", tmp_path / "parallel"
-    raw = dra_dict(replications=4, horizons=[40, 120], write_traces=True)
     run_experiment(ExperimentConfig.from_dict({**raw, "out": str(serial_dir)}))
     run_experiment(
         ExperimentConfig.from_dict({**raw, "out": str(parallel_dir), "jobs": 3})

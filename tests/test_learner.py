@@ -435,21 +435,24 @@ class TestRun:
     @pytest.mark.slow
     @pytest.mark.parametrize("lanes", [2, 5])
     def test_peak_memory_per_round_in_lockstep(self, lanes):
-        # A block of lanes keeps each lane's statistics and nothing per
-        # round, so the one-lane bound holds per lane. Fewer rounds per lane
-        # than the one-lane run above leave the fixed buffers a larger share
-        # of the bound.
+        # A block of lanes without a sink keeps each lane's statistics and
+        # nothing per round, so its peak does not grow with the horizon
+        # either: 4,096 more rounds on 2 lanes would add 65 KB at 8 bytes a
+        # lane-round. Both horizons fill a whole chunk of rounds. The
+        # one-lane bound per lane-round holds too.
         cfg = native_cfg()
-        models = [flat_model(seed=seed) for seed in range(lanes)]
-        solvers = [ExactDpSolver(cfg) for _ in models]
-        horizon = 50_000 // lanes
-        tracemalloc.start()
-        try:
-            run(models, solvers, cfg, horizon)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / (horizon * lanes) < 52
+        peaks = {}
+        for horizon in (2_048, 6_144):
+            models = [flat_model(seed=seed) for seed in range(lanes)]
+            solvers = [ExactDpSolver(cfg) for _ in models]
+            tracemalloc.start()
+            try:
+                run(models, solvers, cfg, horizon)
+                peaks[horizon] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[6_144] - peaks[2_048] < 16_000, peaks
+        assert peaks[6_144] / (6_144 * lanes) < 52, peaks
 
     def test_validation(self):
         cfg = native_cfg()

@@ -76,7 +76,7 @@ PARAMETERS = {
     "compute_gaps": ["model", "cfg", "alpha"],
     "regret_series": ["expected", "opt"],
     "run": ["model", "solver", "cfg", "horizon", "observer", "sink"],
-    "run_discretized": ["model", "oracle_spec", "budget", "horizon"],
+    "run_discretized": ["model", "oracle_spec", "budget", "horizon", "observer", "sink"],
     "split_discretization_regret": ["expected", "grid_opt", "reference"],
 }
 
