@@ -134,8 +134,8 @@ def reference_memory_bytes(resources: int, refinement: int) -> int:
     Its grid has refinement + 1 levels and refinement budget units. With
     three or more resources the exact DP holds an int64 gather index and a
     float64 candidate table of (refinement + 1)^2 entries each; every
-    instance also holds a few rows of resources x (refinement + 2) floats
-    (the mean matrix, the suffix rows and the stored choices).
+    instance also holds a few rows of resources x (refinement + 2) words
+    (the mean matrix, the suffix rows and the middle rows' maximizers).
     """
     side = refinement + 1
     square = 16 * side * side if resources > 2 else 0

@@ -135,7 +135,7 @@ class RewardModel:
         u = streams.uniform_at(self.rng_seed, arm.k, t)
         resources = self.k_count
         rewards = self.rewards_from_uniforms(
-            table, np.full(resources, arm.a), np.full(resources, u)
+            table, [arm.a] * resources, np.full(resources, u)
         )
         return rewards[arm.k - 1]
 
@@ -175,16 +175,16 @@ class RewardModel:
         return 1.0 - np.exp(-space.level_values[None, :] / self.thetas[:, None])
 
     def rewards_from_uniforms(
-        self, table: tuple, levels: np.ndarray, u: np.ndarray
+        self, table: tuple, levels: Sequence[int], u: np.ndarray
     ) -> list[float]:
         """The reward transform for one round.
 
         ``table`` is success_table's output for the space being played,
-        ``levels`` holds the chosen level index and ``u`` the uniform of
-        each resource (the round's slice of uniform_block output). Returns
-        one reward per resource.
+        ``levels`` is a sequence of the chosen level index of each resource
+        and ``u`` an array of its uniform (the round's slice of
+        uniform_block output). Returns one reward per resource.
         """
-        levels, u = levels.tolist(), u.tolist()
+        u = u.tolist()
         if self.family == "hinge":
             values, scales, budget = table
             return [

@@ -192,7 +192,6 @@ def run(
                 for reward in rewards:  # written so that NaN fails too
                     if not 0.0 <= reward <= 1.0:
                         raise AssertionError("environment produced a reward outside [0, 1]")
-                levels = levels.tolist()
                 if sink is not None:
                     lane_played.extend(levels)
                     lane_seen.extend(rewards)

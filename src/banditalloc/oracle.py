@@ -9,7 +9,7 @@ simulates oracles that only succeed with some probability beta.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -78,8 +78,9 @@ def _check_means(means: np.ndarray, cfg: ProblemConfig) -> np.ndarray:
 
 class _SolverBase:
     """Shared result plumbing. Concrete solvers implement _levels, which
-    receives a matrix _check_means has already validated, or override
-    solve_levels; solve calls solve_levels, which validates the means."""
+    receives a matrix _check_means has already validated and returns a list
+    of K levels, or override solve_levels; solve calls solve_levels, which
+    validates the means and returns an int64 array."""
 
     def __init__(self, cfg: ProblemConfig, kind: str):
         self.cfg = cfg
@@ -88,11 +89,11 @@ class _SolverBase:
         # budgets buy nothing more.
         self._cap = min(cfg.capacity_units, cfg.resources * (cfg.space.n - 1))
 
-    def _levels(self, means: np.ndarray) -> np.ndarray:
+    def _levels(self, means: np.ndarray) -> list[int]:
         raise NotImplementedError
 
     def solve_levels(self, means: np.ndarray) -> np.ndarray:
-        return self._levels(_check_means(means, self.cfg))
+        return np.array(self._levels(_check_means(means, self.cfg)), dtype=np.int64)
 
     def solve(self, means: np.ndarray) -> OracleResult:
         levels = self.solve_levels(means)
@@ -106,12 +107,12 @@ class ExactDpSolver(_SolverBase):
 
     Level i costs i units (one unit = the space pitch). Row k of the suffix
     table holds, at column c, the best value attainable from resources k..
-    with c units left. The backward pass also stores, in choice[k][c], the
-    level it picks for resource k: the lowest level among the fewest-unit
-    maximizers. Ties therefore resolve toward the smaller total budget, then
-    toward the lexicographically smallest level vector, and the forward pass
-    only reads the stored choices, so identical inputs always produce
-    identical allocations.
+    with c units left. Resource k with c units left gets the lowest level
+    among the fewest-unit maximizers, so ties resolve toward the smaller
+    total budget, then toward the lexicographically smallest level vector.
+    The backward pass keeps every middle row's first maximizer at each
+    column, and the forward pass picks each level from them at the one
+    column it reaches: identical inputs give identical allocations.
 
     The units are read from the value rows, not kept in tables of their own:
     the fewest units among the maximizers at column c is the first column
@@ -174,11 +175,7 @@ class ExactDpSolver(_SolverBase):
         rows = [None] * skip + list(suf[:, :, 1:])
         self._rows = rows
         self._lanes = lanes
-        self._chosen = np.empty((lanes, resources), dtype=np.int64)
-        # Views fixed by the buffers, taken once: a round on a small
-        # instance costs about as much in numpy calls as in arithmetic.
         last_rows = rows[-1]
-        self._last_lanes = list(last_rows)
         if cap < n:
             self._last_out = last_rows
         else:
@@ -194,24 +191,21 @@ class ExactDpSolver(_SolverBase):
             self._row0_rev = self._row0_cand[:, ::-1]
         if resources > 2:
             self._cand = np.empty((lanes, cap + 1, n))
-            # The first maximizer of each column's candidates.
-            self._maximizer = np.empty((lanes, cap + 1), dtype=np.int64)
-            self._choice = np.empty((resources, lanes, cap + 1), dtype=np.int64)
-            self._middle = [None] + [
-                list(zip(self._maximizer, rows[k], self._choice[k]))
-                for k in range(1, resources - 1)
-            ]
+            # maximizer[k, r, c]: the first maximizer of lane r's candidates
+            # for middle resource k at column c.
+            self._maximizer = np.empty((resources, lanes, cap + 1), dtype=np.int64)
 
-    def _levels(self, means: np.ndarray) -> np.ndarray:
-        return self._levels_lanes(means[None])[0].copy()
+    def _levels(self, means: np.ndarray) -> list[int]:
+        return self._levels_lanes(means[None])[0]
 
-    def _levels_lanes(self, means: np.ndarray) -> np.ndarray:
-        """(R, K) allocations of an (R, K, n) stack of finite mean matrices,
-        in a buffer that the next call overwrites."""
+    def _levels_lanes(self, means: np.ndarray) -> list[list[int]]:
+        """The R allocations, as lists of K ints, of an (R, K, n) stack of
+        finite mean matrices."""
         lanes = means.shape[0]
         if lanes != self._lanes:
             self._size_for(lanes)
         resources, n, cap = self._resources, self._n, self._cap
+        rows = self._rows
         last = resources - 1
         # The last row: column c covers the last resource's levels
         # 0..min(c, n - 1).
@@ -228,10 +222,8 @@ class ExactDpSolver(_SolverBase):
                 self._gather, axis=1, out=self._cand, mode="clip"
             )
             cand += means[:, k, None]
-            cand.argmax(axis=2, out=self._maximizer)
-            cand.max(axis=2, out=self._rows[k])
-            for maximizer, row, choice in self._middle[k]:
-                maximizer.take(row.searchsorted(row), out=choice, mode="clip")
+            cand.argmax(axis=2, out=self._maximizer[k])
+            cand.max(axis=2, out=rows[k])
 
         if last:
             top = self._top
@@ -239,26 +231,31 @@ class ExactDpSolver(_SolverBase):
             # argmax returns the first maximizer; on the reversed row, the last.
             firsts = cand_v.argmax(axis=1).tolist()
             lasts = self._row0_rev.argmax(axis=1).tolist()
-        chosen = self._chosen
-        for r, last_row in enumerate(self._last_lanes):
+        chosen = []
+        for r in range(lanes):
+            levels = []
             c = cap
             if last:
                 a = firsts[r]
                 if a != top - lasts[r]:
                     # Tied values: the fewest units spent wins, then the lowest level.
                     tied = (cand_v[r] == cand_v[r, a]).nonzero()[0]
-                    next_row = self._rows[1][r]
+                    next_row = rows[1][r]
                     tied_u = tied + next_row.searchsorted(next_row[c - tied])
                     a = int(tied[tied_u.argmin()])
-                chosen[r, 0] = a
+                levels.append(a)
                 c -= a
             for k in range(1, last):
-                a = self._choice.item(k, r, c)
-                chosen[r, k] = a
+                # The first maximizer at the first column reaching row[c].
+                row = rows[k][r]
+                a = self._maximizer.item(k, r, row.searchsorted(row[c]))
+                levels.append(a)
                 c -= a
             # Below the last resource nothing is spent, so its units are its
             # level: where the running maximum first reaches its value at c.
-            chosen[r, last] = last_row.searchsorted(last_row[c])
+            row = rows[last][r]
+            levels.append(int(row.searchsorted(row[c])))
+            chosen.append(levels)
         return chosen
 
 
@@ -286,7 +283,7 @@ class GreedySolver(_SolverBase):
     def __init__(self, cfg: ProblemConfig):
         super().__init__(cfg, "greedy")
 
-    def _levels(self, means: np.ndarray) -> np.ndarray:
+    def _levels(self, means: np.ndarray) -> list[int]:
         rows = means.tolist()
         top_level = self.cfg.space.n - 1
         pitch = self.cfg.space.pitch
@@ -318,7 +315,7 @@ class GreedySolver(_SolverBase):
                     best_ratio = upgrade[0]
                     pick = k
             if pick < 0:
-                return np.array(levels, dtype=np.int64)
+                return levels
             b = cached[pick][1]
             room -= b - levels[pick]
             levels[pick] = b
@@ -374,10 +371,10 @@ class CoinFlipOracle(_SolverBase):
         return levels
 
 
-def _lane_solver(solvers) -> Callable[[np.ndarray], Sequence[np.ndarray]]:
+def _lane_solver(solvers) -> Callable[[np.ndarray], list[list[int]]]:
     """A function that maps an (R, K, n) stack of mean matrices to the
-    allocations solvers[r].solve_levels(means[r]) of its R lanes, which
-    may sit in a buffer that its next call overwrites.
+    allocations solvers[r].solve_levels(means[r]) of its R lanes, as lists
+    of K ints.
 
     When every lane runs the plain exact DP, one batched backward pass, on
     the first lane's buffers, serves them all, and the caller vouches that
@@ -385,7 +382,7 @@ def _lane_solver(solvers) -> Callable[[np.ndarray], Sequence[np.ndarray]]:
     are called lane by lane."""
     if all(type(s) is ExactDpSolver for s in solvers):
         return solvers[0]._levels_lanes
-    return lambda means: [s.solve_levels(m) for s, m in zip(solvers, means)]
+    return lambda means: [s.solve_levels(m).tolist() for s, m in zip(solvers, means)]
 
 
 def solve_exact_dp(means: np.ndarray, cfg: ProblemConfig) -> OracleResult:

@@ -182,7 +182,7 @@ class TestUpdate:
 
             class OutOfRange(RewardModel):
                 def rewards_from_uniforms(self, table, levels, u):
-                    return np.full(levels.shape, bad)
+                    return np.full(len(levels), bad)
 
             model = OutOfRange(family="table", rng_seed=0, probs=np.full((2, 3), 0.5))
             with pytest.raises(AssertionError, match=r"outside \[0, 1\]"):
@@ -399,38 +399,39 @@ class TestRun:
         run(models, [ExactDpSolver(cfg)] * 3, cfg, 2000, sink=lambda *chunk: None)
         assert [id(m) for m in asked] == [id(m) for m in models]
 
+    @staticmethod
+    def one_lane_peaks(sink):
+        # Traced peaks of one-lane runs at 4,096 and 16,384 rounds: 12,288
+        # more rounds would add 98 KB at 8 bytes a round. Each run has a
+        # fresh solver, so both peaks include its buffers.
+        model, cfg = flat_model(), native_cfg()
+        peaks = {}
+        for horizon in (4_096, 16_384):
+            solver = ExactDpSolver(cfg)
+            tracemalloc.start()
+            try:
+                run(model, solver, cfg, horizon, sink=sink)
+                peaks[horizon] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        return peaks
+
     @pytest.mark.slow
     def test_peak_memory_per_round(self):
         # A sink that keeps nothing adds one chunk of levels, rewards and
-        # expected values to the fixed buffers, and nothing per round.
-        model, cfg = flat_model(), native_cfg()
-        solver = ExactDpSolver(cfg)
-        horizon = 100_000
-        tracemalloc.start()
-        try:
-            run(model, solver, cfg, horizon, sink=lambda *chunk: None)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / horizon < 12
+        # expected values to the fixed buffers, and nothing per round. The
+        # growth bound is 0.21 bytes a round.
+        peaks = self.one_lane_peaks(lambda *chunk: None)
+        assert peaks[16_384] - peaks[4_096] < 2_600, peaks
+        assert max(peaks.values()) < 1_200_000, peaks
 
     @pytest.mark.slow
     def test_peak_memory_per_round_without_history(self):
         # Without a sink, a run keeps no levels or rewards and computes no
-        # expected values, so its peak does not grow with the horizon:
-        # 75,000 more rounds would add 600 KB at 8 bytes a round.
-        model, cfg = flat_model(), native_cfg()
-        solver = ExactDpSolver(cfg)
-        peaks = {}
-        for horizon in (25_000, 100_000):
-            tracemalloc.start()
-            try:
-                run(model, solver, cfg, horizon)
-                peaks[horizon] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert peaks[100_000] / 100_000 < 12
-        assert peaks[100_000] - peaks[25_000] < 16_000, peaks
+        # expected values, so its peak does not grow with the horizon.
+        peaks = self.one_lane_peaks(None)
+        assert peaks[16_384] - peaks[4_096] < 2_600, peaks
+        assert max(peaks.values()) < 1_200_000, peaks
 
     @pytest.mark.slow
     @pytest.mark.parametrize("lanes", [2, 5])

@@ -229,6 +229,26 @@ class TestExactDp:
         means = np.array([[0.0, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]])
         assert solve_exact_dp(means, cfg).allocation.levels == (0, 1, 0)
 
+    @pytest.mark.parametrize("resources", [4, 5])
+    def test_middle_rows_pick_the_fewest_units_under_threshold_ties(self, resources):
+        # Resource k earns 0.5 from a random level on, so funding different
+        # resources ties on value but not on units. With c units left, a
+        # middle row's first maximizer at c can be a lower level whose tail
+        # spends more; the first maximizer at the first column that reaches
+        # the row's value at c spends the fewest. Alone and as lanes of a
+        # block, beside an all-zero lane and the reversed rows.
+        rng = np.random.default_rng(71 + resources)
+        for _ in range(40):
+            n = int(rng.integers(3, 6))
+            budget = float(rng.integers(n - 1, resources * (n - 1) + 1))
+            cfg = native_cfg(resources, budget, n)
+            means = np.where(np.arange(n) >= rng.integers(1, n, (resources, 1)), 0.5, 0.0)
+            res = ExactDpSolver(cfg).solve(means)
+            assert (res.allocation.levels, res.value) == brute_force(means, cfg)
+            block = np.stack([means, np.zeros_like(means), means[::-1]])
+            want = [list(brute_force(lane, cfg)[0]) for lane in block]
+            assert ExactDpSolver(cfg)._levels_lanes(block) == want
+
     @pytest.mark.parametrize("values", sorted(GREEDY_VALUES))
     def test_lanes_equal_one_matrix_solves(self, values):
         # A block of 1-5 lanes, solved by one batched backward pass, gives
@@ -240,8 +260,8 @@ class TestExactDp:
             block = GREEDY_VALUES[values](rng, (width, cfg.resources, cfg.space.n))
             solver = ExactDpSolver(cfg)
             want = [ExactDpSolver(cfg).solve_levels(means).tolist() for means in block]
-            assert solver._levels_lanes(block).tolist() == want
-            assert solver._levels_lanes(block[:1]).tolist() == want[:1]
+            assert solver._levels_lanes(block) == want
+            assert solver._levels_lanes(block[:1]) == want[:1]
 
     def test_rounding_absorbed_tie_keeps_the_larger_tail(self):
         # 1 + 0.5 == 1 + nextafter(0.5, 1), so (0, 1) and (0, 2) fold to one
@@ -254,7 +274,7 @@ class TestExactDp:
         solver = ExactDpSolver(cfg)
         assert solver.solve_levels(means).tolist() == [0, 2]
         block = np.stack([np.zeros_like(means), means, means])
-        assert solver._levels_lanes(block).tolist() == [[0, 0], [0, 2], [0, 2]]
+        assert solver._levels_lanes(block) == [[0, 0], [0, 2], [0, 2]]
 
     def test_deterministic_repeat(self):
         cfg = native_cfg(3, 4.0, 3)
