@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import streams
 from .core import Allocation, ProblemConfig
@@ -135,11 +136,12 @@ class ExactDpSolver(_SolverBase):
     returns (0, 2).
 
     Only the rows of middle resources are built from full (cap + 1, n)
-    candidate tables, gathered from the next row through one shared index
-    of the same shape; they are the solver's only tables of that size. The
-    last row is a running maximum of the last resource's values, because
-    the row after it is all zeros. The first row is read only at column
-    cap, so it is solved there alone, with the same tie-break.
+    candidate tables, read from the next row through a sliding-window view
+    that copies nothing; the one candidate buffer is the solver's only
+    table of that size. The last row is a running maximum of the last
+    resource's values, because the row after it is all zeros. The first row
+    is read only at column cap, so it is solved there alone, with the same
+    tie-break.
 
     The learner solves a block of lanes at once: _levels_lanes takes an
     (R, K, n) stack of mean matrices and runs the backward pass's numpy
@@ -154,26 +156,23 @@ class ExactDpSolver(_SolverBase):
         self._n = n
         self._resources = cfg.resources
         self._top = min(n - 1, cap)  # the first row's highest affordable level
-        if cfg.resources > 2:
-            # gather[c, a] indexes a padded row at column c - a, or at the
-            # -inf column when level a costs more than c units.
-            self._gather = np.arange(1, cap + 2)[:, None] - np.arange(n)
-            np.maximum(self._gather, 0, out=self._gather)
         self._lanes = 0  # the lane count the buffers are sized for
 
     def _size_for(self, lanes: int) -> None:
         resources, n, cap = self._resources, self._n, self._cap
-        # The suffix rows of resource k sit in columns 1..cap + 1 of
-        # padded[k], one row per lane; column 0 stays -inf, the value of
-        # spending more units than are left. rows[k] holds the rows over
-        # columns 0..cap. The first row is solved at column cap alone, so
-        # only a single resource needs row 0.
+        # The suffix rows of resource k, one per lane, sit after n - 1
+        # columns of -inf, the value of spending more units than are left;
+        # rows[k] views them over columns 0..cap. window[k][r, c, a] is lane
+        # r's row k at column c - a, the -inf pad where a > c: every DP
+        # candidate is a level's mean plus a window entry. The first row is
+        # solved at column cap alone, so only a single resource needs row 0.
         skip = min(1, resources - 1)
-        suf = np.empty((resources - skip, lanes, cap + 2))
-        suf[:, :, 0] = -np.inf
-        self._padded = [None] * skip + list(suf)
-        rows = [None] * skip + list(suf[:, :, 1:])
+        suf = np.empty((resources - skip, lanes, cap + n))
+        suf[:, :, : n - 1] = -np.inf
+        rows = [None] * skip + list(suf[:, :, n - 1 :])
+        window = [None] * skip + list(sliding_window_view(suf, n, axis=-1)[..., ::-1])
         self._rows = rows
+        self._window = window
         self._lanes = lanes
         last_rows = rows[-1]
         if cap < n:
@@ -186,7 +185,7 @@ class ExactDpSolver(_SolverBase):
             # The first row at column cap: candidates for levels 0..top read
             # the next row at cap, cap-1, ..., cap-top.
             top = self._top
-            self._next_rev = rows[1][:, cap - top : cap + 1][:, ::-1]
+            self._next_rev = window[1][:, cap, : top + 1]
             self._row0_cand = np.empty((lanes, top + 1))
             self._row0_rev = self._row0_cand[:, ::-1]
         if resources > 2:
@@ -215,13 +214,8 @@ class ExactDpSolver(_SolverBase):
             np.maximum.accumulate(means[:, last], axis=1, out=self._last_out)
             np.copyto(*self._last_fill)
 
-        # mode="clip" writes straight into out (the default "raise" fills a
-        # temporary copy first); every index is in range anyway.
         for k in range(resources - 2, 0, -1):
-            cand = self._padded[k + 1].take(
-                self._gather, axis=1, out=self._cand, mode="clip"
-            )
-            cand += means[:, k, None]
+            cand = np.add(self._window[k + 1], means[:, k, None], out=self._cand)
             cand.argmax(axis=2, out=self._maximizer[k])
             cand.max(axis=2, out=rows[k])
 

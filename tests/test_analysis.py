@@ -12,6 +12,7 @@ from banditalloc import (
     CoverageObserver,
     EnumerationInfeasibleError,
     ExactDpSolver,
+    ExperimentConfig,
     OracleSpec,
     ProblemConfig,
     RewardModel,
@@ -26,6 +27,7 @@ from banditalloc import (
     scaling_check,
     split_discretization_regret,
 )
+from banditalloc.analysis import reference_memory_bytes
 
 
 def native_cfg(resources=2, budget=2.0, n=3):
@@ -81,18 +83,40 @@ class TestContinuousReference:
         assert fine.lo >= coarse.lo - 1e-12
         assert fine.hi <= coarse.hi + 1e-12
 
-    def test_peak_memory_three_resources(self):
-        # The exact DP keeps one (r + 1)^2 gather index and one candidate
-        # table of the same size; a units table beside them would push the
-        # peak past the bound.
-        model = RewardModel.concave_exp([0.9, 0.7, 0.8], [0.8, 0.5, 0.6], rng_seed=0)
+    @staticmethod
+    def reference_peak(resources, refinement):
+        """tracemalloc's peak over one continuous reference on a
+        concave_exp instance."""
+        probs = [0.9, 0.7, 0.8, 0.6, 0.75][:resources]
+        thetas = [0.8, 0.5, 0.6, 0.7, 0.4][:resources]
+        model = RewardModel.concave_exp(probs, thetas, rng_seed=0)
         tracemalloc.start()
         try:
-            compute_continuous_reference(model, 1.0, refinement=512)
-            peak = tracemalloc.get_traced_memory()[1]
+            compute_continuous_reference(model, 1.0, refinement)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2**20
+
+    def test_peak_memory_three_resources(self):
+        # The exact DP keeps one (r + 1)^2 candidate table; a units table or
+        # an index of the same size beside it would push the peak past the
+        # bound.
+        assert self.reference_peak(3, 512) < 8 * 2**20
+
+    def test_default_refinement_peak_three_resources(self):
+        # One float64 table of 4097^2 entries is 128 MiB; the rows around it
+        # stay well inside the remaining 12.
+        refinement = ExperimentConfig.reference_refinement
+        assert self.reference_peak(3, refinement) < 140 * 2**20
+
+    @pytest.mark.parametrize("refinement", [256, 1024, 4096])
+    @pytest.mark.parametrize("resources", [3, 4, 5])
+    def test_memory_estimate_covers_the_peak(self, resources, refinement):
+        peak = self.reference_peak(resources, refinement)
+        estimate = reference_memory_bytes(resources, refinement)
+        assert estimate >= peak
+        if refinement >= 1024:
+            assert estimate <= 1.05 * peak, (estimate, peak)
 
     def test_validation(self):
         model = RewardModel.hinge([1.0], budget=1.0, rng_seed=0)

@@ -314,7 +314,8 @@ BAD_CONFIGS = [
         "reference_refinement must be >= 2",
         id="reference-refinement-low",
     ),
-    # The reference DP on three resources holds ~16 (refinement + 1)^2 bytes.
+    # The reference DP on three resources holds ~8 (refinement + 1)^2 bytes,
+    # past the 1 GiB ceiling from refinement 11578 on.
     pytest.param(
         cra_dict(
             problem={"resources": 3, "budget": 1.0},
@@ -323,9 +324,9 @@ BAD_CONFIGS = [
                 "thetas": [0.8, 0.5, 0.6],
                 "success_probs": [0.9, 0.7, 0.8],
             },
-            reference_refinement=8192,
+            reference_refinement=12000,
         ),
-        "reference_refinement 8192 needs .* MiB ceiling",
+        "reference_refinement 12000 needs .* MiB ceiling",
         id="reference-refinement-memory",
     ),
     # Non-finite parameters: NaN fails every comparison, so each range rule
@@ -867,11 +868,12 @@ class TestStreamedTraces:
     @pytest.mark.slow
     def test_trace_files_add_no_peak_memory(self, tmp_path):
         # The rows leave each chunk as it ends, so writing traces holds no
-        # (T, K) history: two lanes of 2 * 10^4 rounds peak as high as the
-        # same run without traces, within 5%.
+        # (T, K) history: two lanes of 4,096 rounds, four chunks, peak as
+        # high as the same run without traces, within 1.8 bytes a
+        # lane-round.
         peaks = {}
         for traces in (False, True):
-            raw = dra_dict(replications=2, horizons=[20_000], write_traces=traces)
+            raw = dra_dict(replications=2, horizons=[4096], write_traces=traces)
             raw["out"] = str(tmp_path / str(traces))
             config = ExperimentConfig.from_dict(raw)
             tracemalloc.start()
@@ -880,7 +882,7 @@ class TestStreamedTraces:
                 peaks[traces] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peaks[True] < 1.05 * peaks[False], peaks
+        assert peaks[True] - peaks[False] < 1.8 * 2 * 4096, peaks
 
 
 class TestCsvBytes:

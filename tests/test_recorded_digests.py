@@ -11,20 +11,37 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
-import platform
+import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from banditalloc import cli
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 WORKLOADS = sorted((BENCH / "workloads").glob("*.json"))
-# The key under which bench/run.py records digests for this build.
-ENV_KEY = f"python {platform.python_version()} numpy {np.__version__}"
+
+
+def _bench_env_key() -> str:
+    """bench/run.py's env_key(): the key its digests are recorded under
+    for this build."""
+    spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    # Its dataclasses look the module up by name, and it imports its
+    # sibling tracing.py.
+    sys.modules[spec.name] = module
+    sys.path.insert(0, str(BENCH))
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(BENCH))
+    return module.env_key()
+
+
+ENV_KEY = _bench_env_key()
 
 
 def sha256(data: bytes) -> str:
