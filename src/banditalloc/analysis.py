@@ -166,16 +166,19 @@ def compute_gaps(
     means = model.mean_matrix(cfg.space)
     cols = np.arange(resources)
 
+    def blocks():
+        rows = iter_feasible_levels(cfg)
+        while block := list(itertools.islice(rows, _CHUNK_ROWS)):
+            flat = itertools.chain.from_iterable(block)
+            yield np.fromiter(flat, np.int64, len(block) * resources).reshape(-1, resources)
+
     opt = -np.inf
-    rows = iter_feasible_levels(cfg)
-    while block := list(itertools.islice(rows, _CHUNK_ROWS)):
-        opt = max(opt, float(means[cols, np.asarray(block)].sum(axis=1).max()))
+    for levels in blocks():
+        opt = max(opt, float(means[cols, levels].sum(axis=1).max()))
 
     delta_min = np.full((resources, n), np.inf)
     delta_max = 0.0
-    rows = iter_feasible_levels(cfg)
-    while block := list(itertools.islice(rows, _CHUNK_ROWS)):
-        levels = np.asarray(block)
+    for levels in blocks():
         gaps = alpha * opt - means[cols, levels].sum(axis=1)
         positive = gaps > 0
         if not positive.any():

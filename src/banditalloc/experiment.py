@@ -642,8 +642,9 @@ def _run_bandit_modes(config: ExperimentConfig, out_dir: Path) -> ExperimentSumm
     starts at most one process pool, and each group's replications are
     folded in index order as they arrive. The fold sums the cumulative
     regret and its square over replications. A group keeps one (longest,)
-    pair: regret_series adds in order and the fold is elementwise, so the
-    first h entries are exactly what a run of horizon h alone would give."""
+    pair and one curve mean and std computed from it: regret_series adds in
+    order and the fold and the curves are elementwise, so the first h entries
+    are exactly what a run of horizon h alone would give."""
     summary = ExperimentSummary()
     config_hash = config.config_hash()
     model0 = build_model(config, rng_seed=0)  # means only; the seed is unused
@@ -675,15 +676,14 @@ def _run_bandit_modes(config: ExperimentConfig, out_dir: Path) -> ExperimentSumm
                     coverage[horizon].append(violations)
                 cum_sum += series
                 cum_sq += series * series
+            curve_mean = cum_sum / reps
+            if reps > 1:
+                var = (cum_sq - reps * curve_mean * curve_mean) / (reps - 1)
+                curve_std = np.sqrt(np.maximum(var, 0.0))
+            else:
+                curve_std = np.zeros(horizons[-1])
 
             for horizon in horizons:
-                curve_mean = cum_sum[:horizon] / reps
-                if reps > 1:
-                    var = (cum_sq[:horizon] - reps * curve_mean * curve_mean) / (reps - 1)
-                    curve_std = np.sqrt(np.maximum(var, 0.0))
-                else:
-                    curve_std = np.zeros(horizon)
-
                 dep, indep = _instance_bounds(config, cfg, horizon, gaps)
                 mean_regret = float(np.mean(finals[horizon]))
                 std_regret = float(np.std(finals[horizon], ddof=1)) if reps > 1 else 0.0
@@ -700,7 +700,7 @@ def _run_bandit_modes(config: ExperimentConfig, out_dir: Path) -> ExperimentSumm
                 _write_csv(
                     curve_path,
                     ("round", "mean_cum_regret", "std_cum_regret"),
-                    _round_rows(curve_mean, curve_std),
+                    _round_rows(curve_mean[:horizon], curve_std[:horizon]),
                     {"config_hash": config_hash, "mode": config.mode,
                      "horizon": horizon, "replications": reps},
                 )

@@ -264,58 +264,53 @@ class GreedySolver(_SolverBase):
     approximation ratio is claimed; measure it per instance against
     ExactDpSolver.
 
-    Each resource's best upgrade (the first maximizer of the ratio over its
-    affordable target levels) is cached between upgrades. An upgrade changes
-    only the upgraded resource's candidates and shrinks everyone else's to a
-    shorter prefix of target levels, so a cached upgrade stays the first
-    maximizer for as long as it remains affordable, and a resource without a
-    positive-gain upgrade never gains one. Only the upgraded resource and
-    those whose cached target no longer fits the remaining budget are
-    rescanned.
+    ratios[k] and targets[k] hold resource k's best upgrade, the first
+    maximizer of the ratio over its affordable target levels (ratio 0 and
+    target levels[k] if no ratio is positive). An upgrade changes only the
+    upgraded resource's candidates and shrinks everyone else's to a shorter
+    prefix of target levels, so a kept upgrade stays the first maximizer while
+    it remains affordable, and a resource with no positive ratio never gains
+    one. Every resource starts out of reach and is scanned once; from then on
+    only the upgraded resource and those whose target no longer fits the
+    remaining budget are rescanned.
     """
 
     def __init__(self, cfg: ProblemConfig):
         super().__init__(cfg, "greedy")
+        # steps[d]: the budget of a d-level upgrade.
+        self._steps = [d * cfg.space.pitch for d in range(cfg.space.n)]
 
     def _levels(self, means: np.ndarray) -> list[int]:
         rows = means.tolist()
         top_level = self.cfg.space.n - 1
-        pitch = self.cfg.space.pitch
-        levels = [0] * len(rows)
+        steps = self._steps
         room = self._cap  # budget units not yet spent
-
-        def best_upgrade(row, cur):
-            # First (ratio, target) with the largest strictly positive ratio
-            # among the affordable target levels, or None.
-            base = row[cur]
-            best_ratio = 0.0
-            best = None
-            for b in range(cur + 1, min(top_level, cur + room) + 1):
-                gain = row[b] - base
-                if gain <= 0:
-                    continue
-                ratio = gain / ((b - cur) * pitch)
-                if ratio > best_ratio:
-                    best_ratio = ratio
-                    best = b
-            return None if best is None else (best_ratio, best)
-
-        cached = [best_upgrade(row, 0) for row in rows]
+        levels = [0] * len(rows)
+        ratios = [0.0] * len(rows)
+        targets = [room + 1] * len(rows)  # out of reach: scan every resource
+        pick = -1
         while True:
-            best_ratio = 0.0
-            pick = -1
-            for k, upgrade in enumerate(cached):
-                if upgrade is not None and upgrade[0] > best_ratio:
-                    best_ratio = upgrade[0]
-                    pick = k
-            if pick < 0:
+            for k, row in enumerate(rows):
+                cur = levels[k]
+                if k != pick and targets[k] - cur <= room:
+                    continue
+                base = row[cur]
+                best_ratio = 0.0
+                best = cur
+                for b in range(cur + 1, min(top_level, cur + room) + 1):
+                    # A gain <= 0 (finite means make no NaN) never beats 0.0.
+                    ratio = (row[b] - base) / steps[b - cur]
+                    if ratio > best_ratio:
+                        best_ratio = ratio
+                        best = b
+                ratios[k] = best_ratio
+                targets[k] = best
+            best_ratio = max(ratios)
+            if best_ratio <= 0.0:
                 return levels
-            b = cached[pick][1]
-            room -= b - levels[pick]
-            levels[pick] = b
-            for k, upgrade in enumerate(cached):
-                if k == pick or (upgrade is not None and upgrade[1] - levels[k] > room):
-                    cached[k] = best_upgrade(rows[k], levels[k])
+            pick = ratios.index(best_ratio)
+            room -= targets[pick] - levels[pick]
+            levels[pick] = targets[pick]
 
 
 class CoinFlipOracle(_SolverBase):
@@ -387,12 +382,13 @@ def solve_exact_dp(means: np.ndarray, cfg: ProblemConfig) -> OracleResult:
 
 def build_solver(spec: OracleSpec, cfg: ProblemConfig, seed: int = 0) -> _SolverBase:
     """Construct the solver a declared oracle describes, coin-wrapped when
-    beta < 1."""
+    beta < 1; its spec is the declared one."""
     base: _SolverBase
     if spec.kind == "exact_dp":
         base = ExactDpSolver(cfg)
     else:
         base = GreedySolver(cfg)
+    base.spec = OracleSpec(spec.alpha, 1.0, spec.kind)
     if spec.beta < 1.0:
         return CoinFlipOracle(base, spec.beta, seed)
     return base

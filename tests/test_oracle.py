@@ -134,7 +134,14 @@ GREEDY_VALUES = {
     ],
     "clamped": lambda rng, shape: np.minimum(1.0, 1.5 * rng.random(shape)),
     "negative": lambda rng, shape: rng.normal(size=shape),
+    # Gains overflow to +-inf, and subnormal gains divide to 0 over budget
+    # steps of 2 or more. The exact DP's sums would overflow as well, so only
+    # the greedy tests draw this family.
+    "extreme": lambda rng, shape: np.array([1e308, -1e308, 5e-324, -5e-324, 0.0])[
+        rng.integers(0, 5, size=shape)
+    ],
 }
+FINITE_VALUES = sorted(GREEDY_VALUES.keys() - {"extreme"})
 
 
 class TestExactDp:
@@ -249,11 +256,11 @@ class TestExactDp:
             want = [list(brute_force(lane, cfg)[0]) for lane in block]
             assert ExactDpSolver(cfg)._levels_lanes(block) == want
 
-    @pytest.mark.parametrize("values", sorted(GREEDY_VALUES))
+    @pytest.mark.parametrize("values", FINITE_VALUES)
     def test_lanes_equal_one_matrix_solves(self, values):
         # A block of 1-5 lanes, solved by one batched backward pass, gives
         # every lane the allocation a one-matrix solve gives it.
-        rng = np.random.default_rng(61 + sorted(GREEDY_VALUES).index(values))
+        rng = np.random.default_rng(61 + FINITE_VALUES.index(values))
         for _ in range(40):
             cfg, _ = greedy_case(rng, GREEDY_VALUES[values])
             width = int(rng.integers(1, 6))
@@ -378,7 +385,7 @@ class TestGreedy:
         means = np.array([[0.0, 0.5], [0.0, 0.5]])
         assert GreedySolver(cfg).solve(means).allocation.levels == (1, 0)
 
-    @pytest.mark.parametrize("seed, values", enumerate(sorted(GREEDY_VALUES)))
+    @pytest.mark.parametrize("seed, values", enumerate([*FINITE_VALUES, "extreme"]))
     def test_matches_reference_loop(self, seed, values):
         rng = np.random.default_rng(seed)
         budgets = {"below": 0, "at": 0, "above": 0}
@@ -388,10 +395,27 @@ class TestGreedy:
             units = cfg.capacity_units
             budgets["below" if units < full else "at" if units == full else "above"] += 1
             got = GreedySolver(cfg).solve_levels(means)
-            want = reference_greedy(means, cfg)
+            with np.errstate(over="ignore"):
+                want = reference_greedy(means, cfg)
             assert got.dtype == want.dtype
             assert got.tolist() == want.tolist()
         assert min(budgets.values()) > 0
+
+    def test_long_rows_match_reference_loop(self):
+        # 20-60 levels on rising rows with flat stretches: tens of upgrades
+        # per call, some of them multi-level jumps whose kept targets fall
+        # out of reach and are rescanned.
+        rng = np.random.default_rng(62)
+        for values in ("uniform", "heavy_ties") * 5:
+            resources = int(rng.integers(2, 7))
+            n = int(rng.integers(20, 61))
+            units = int(rng.integers(n, (n - 1) * resources))
+            space = ActionSpace.uniform_grid(n, float(rng.uniform(0.05, 1.5)))
+            cfg = ProblemConfig(resources=resources, budget=units * space.pitch, space=space)
+            gains = np.sort(GREEDY_VALUES[values](rng, (resources, n)), axis=1)[:, ::-1]
+            means = np.cumsum(gains * (rng.random((resources, n)) < 0.7), axis=1)
+            got = GreedySolver(cfg).solve_levels(means)
+            assert got.tolist() == reference_greedy(means, cfg).tolist()
 
     def test_shape_and_finite_errors(self):
         cfg = native_cfg(2, 2.0, 3)
@@ -513,6 +537,14 @@ class TestCoinFlipOracle:
         oracle = build_solver(OracleSpec(1.0, 0.6, "exact_dp"), cfg, seed=0)
         assert isinstance(oracle, CoinFlipOracle)
         assert oracle.spec == OracleSpec(1.0, 0.6, "exact_dp")
+        # Wrapped or not, every solver declares the spec it was built from.
+        for spec in (
+            OracleSpec(1.0, 1.0, "exact_dp"),
+            OracleSpec(0.9, 0.9, "greedy"),
+            OracleSpec(0.9, 1.0, "greedy"),
+            OracleSpec(1.0, 0.6, "greedy"),
+        ):
+            assert build_solver(spec, cfg, seed=0).spec == spec
 
 
 @pytest.mark.parametrize("kind", ["exact", "greedy", "coin heads", "coin tails"])
